@@ -83,15 +83,15 @@ func BenchmarkAdversaryByK(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyMachineEngines compares the three engines on the same
-// instances: the single-threaded slab engine, the goroutine-per-node
-// α-synchroniser (map protocol), and the flat worker-pool engine whose
-// round loop is allocation-free (BENCH_pr1.json records a baseline).
+// BenchmarkGreedyMachineEngines compares runtime.Run's inline round loop
+// ("sequential") with its GOMAXPROCS-worker path ("workers") on the same
+// instances; both are allocation-free per round (BENCH_pr1.json records a
+// baseline).
 //
 // The instance is a union of partial random matchings rather than a
 // k-regular graph: in a k-regular properly coloured graph every node has a
 // colour-1 edge and greedy halts at time 0, so nothing but setup would be
-// measured. All engines share one arena-backed machine pool, so the numbers
+// measured. Both paths share one arena-backed machine pool, so the numbers
 // isolate engine round-loop cost from per-machine allocation.
 func BenchmarkGreedyMachineEngines(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
@@ -103,18 +103,7 @@ func BenchmarkGreedyMachineEngines(b *testing.B) {
 		b.Run(prefix+"sequential", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunSequential(g, factory, 64); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(prefix+"concurrent", func(b *testing.B) {
-			if n > 1<<13 && testing.Short() {
-				b.Skip("goroutine-per-node at this n is heavy; skipped with -short")
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunConcurrent(g, factory, 64); err != nil {
+				if _, _, err := runtime.Run(g, nil, factory, 64, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -122,7 +111,7 @@ func BenchmarkGreedyMachineEngines(b *testing.B) {
 		b.Run(prefix+"workers", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunWorkers(g, factory, 64); err != nil {
+				if _, _, err := runtime.Run(g, nil, factory, 64, goruntime.GOMAXPROCS(0)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -131,11 +120,11 @@ func BenchmarkGreedyMachineEngines(b *testing.B) {
 }
 
 // BenchmarkReducedPipelineEngines measures the full ReducedGreedyMachine
-// pipeline (Linial reduction + recolouring + greedy) on the sequential
-// reference vs the arena-batched workers engine. Both share one pooled
-// machine arena; with the per-worker RoundArena the workers round loop
-// performs no allocations even though every reduction round sends a colour
-// list per node (BENCH_pr2.json records a baseline).
+// pipeline (Linial reduction + recolouring + greedy) on runtime.Run's
+// inline and GOMAXPROCS-worker paths. Both share one pooled machine arena;
+// with the per-worker RoundArena the round loop performs no allocations
+// even though every reduction round sends a colour list per node
+// (BENCH_pr2.json records a baseline).
 func BenchmarkReducedPipelineEngines(b *testing.B) {
 	const delta = 3
 	for _, p := range []struct{ n, k int }{{4096, 256}, {65536, 1024}} {
@@ -151,7 +140,7 @@ func BenchmarkReducedPipelineEngines(b *testing.B) {
 		b.Run(prefix+"sequential", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunSequential(g, pool, maxR); err != nil {
+				if _, _, err := runtime.Run(g, nil, pool, maxR, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,7 +148,7 @@ func BenchmarkReducedPipelineEngines(b *testing.B) {
 		b.Run(prefix+"workers", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunWorkers(g, pool, maxR); err != nil {
+				if _, _, err := runtime.Run(g, nil, pool, maxR, goruntime.GOMAXPROCS(0)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,7 +156,7 @@ func BenchmarkReducedPipelineEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkersScaling is the multi-core scaling study for RunWorkersN:
+// BenchmarkWorkersScaling is the multi-core scaling study for runtime.Run:
 // the same instance driven with 1…16 workers (independent of GOMAXPROCS, so
 // the shard/barrier overhead is visible even on small hosts). BENCH_pr2.json
 // records a run with the host core count alongside.
@@ -184,7 +173,7 @@ func BenchmarkWorkersScaling(b *testing.B) {
 			b.Run("n="+strconv.Itoa(n)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := runtime.RunWorkersN(g, nil, factory, 64, workers); err != nil {
+					if _, _, err := runtime.Run(g, nil, factory, 64, workers); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -220,7 +209,7 @@ func BenchmarkEngineTailRounds(b *testing.B) {
 		b.Run(prefix+"sequential", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunSequential(g, pool, k+16); err != nil {
+				if _, _, err := runtime.Run(g, nil, pool, k+16, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -228,7 +217,7 @@ func BenchmarkEngineTailRounds(b *testing.B) {
 		b.Run(prefix+"workers=2", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunWorkersN(g, nil, pool, k+16, 2); err != nil {
+				if _, _, err := runtime.Run(g, nil, pool, k+16, 2); err != nil {
 					b.Fatal(err)
 				}
 			}

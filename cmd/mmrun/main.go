@@ -10,8 +10,8 @@
 //
 //	mmrun -graph worstcase -k 6                    # §1.2 instance, greedy
 //	mmrun -graph random -n 100 -k 8 -algo proposal
-//	mmrun -graph regular -n 64 -k 5 -engine conc
-//	mmrun -scenario matching-union:n=65536,k=6 -engine workers -workers 8
+//	mmrun -graph regular -n 64 -k 5 -workers 0      # one engine worker per core
+//	mmrun -scenario matching-union:n=65536,k=6 -workers 8
 //	mmrun -scenario caterpillar:k=8,legs=2 -stats  # per-round histogram
 //	mmrun -scenario double-cover:n=512 -algo bipartite
 //	mmrun -scenario list                           # list the registry
@@ -24,13 +24,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	goruntime "runtime"
 
 	"repro/internal/cli"
 	"repro/internal/colsys"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mm"
 	"repro/internal/runtime"
 )
 
@@ -38,14 +38,13 @@ func main() {
 	graphKind := flag.String("graph", "worstcase", "instance: figure1, worstcase, random, regular, bounded, cayley")
 	scenario := flag.String("scenario", "", "scenario spec name[:param=value,…] from internal/gen (overrides -graph); \"list\" prints the registry")
 	algName := flag.String("algo", "greedy", "machine: greedy, proposal, reduced, bipartite (bipartite needs a labelled scenario)")
-	engine := flag.String("engine", "seq", "engine: seq (deterministic slab), conc (goroutine per node) or workers (flat worker pool)")
-	workers := flag.Int("workers", 0, "worker count for -engine workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "engine workers: 1 runs the round loop inline, 0 means GOMAXPROCS")
 	n := flag.Int("n", 64, "number of nodes (random/regular/bounded)")
 	k := flag.Int("k", 4, "number of edge colours")
 	delta := flag.Int("delta", 3, "degree bound (bounded graphs, reduced machine)")
 	radius := flag.Int("radius", 3, "ball radius (cayley graphs)")
 	seed := flag.Int64("seed", 1, "random seed")
-	stats := flag.Bool("stats", false, "print the per-round message/byte histogram (slab engines)")
+	stats := flag.Bool("stats", false, "print the per-round message/byte histogram")
 	dot := flag.Bool("dot", false, "emit Graphviz DOT with the matching in bold")
 	flag.Parse()
 
@@ -118,23 +117,14 @@ func main() {
 		os.Exit(cli.ExitMismatch)
 	}
 
-	var outs []mm.Output
-	var st *runtime.Stats
-	switch *engine {
-	case "seq":
-		outs, st, err = runtime.RunSequentialLabeled(g, labels, factory, maxRounds)
-	case "conc":
-		outs, st, err = runtime.RunConcurrentLabeled(g, labels, factory, maxRounds)
-	case "workers":
-		if *workers > 0 {
-			outs, st, err = runtime.RunWorkersN(g, labels, factory, maxRounds, *workers)
-		} else {
-			outs, st, err = runtime.RunWorkersLabeled(g, labels, factory, maxRounds)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "mmrun: unknown engine %q\n", *engine)
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "mmrun: -workers must be ≥ 0")
 		os.Exit(cli.ExitMismatch)
 	}
+	if *workers == 0 {
+		*workers = goruntime.GOMAXPROCS(0)
+	}
+	outs, st, err := runtime.Run(g, labels, factory, maxRounds, *workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mmrun: %v\n", err)
 		os.Exit(cli.ExitFailure)
@@ -151,7 +141,7 @@ func main() {
 
 	fmt.Printf("instance:  %s (n=%d, |E|=%d, Δ=%d, k=%d)\n",
 		instName, g.N(), g.NumEdges(), g.MaxDegree(), g.K())
-	fmt.Printf("algorithm: %s on the %s engine\n", *algName, *engine)
+	fmt.Printf("algorithm: %s on %d engine worker(s)\n", *algName, *workers)
 	fmt.Printf("rounds:    %d (greedy bound k−1 = %d)\n", st.Rounds, g.K()-1)
 	fmt.Printf("messages:  %d\n", st.Messages)
 	fmt.Printf("matching:  %d edges\n", len(matching))
@@ -165,13 +155,8 @@ func main() {
 	fmt.Println("validated: maximal matching (M1–M3 hold)")
 }
 
-// printPerRound renders the slab engines' per-round traffic histogram; the
-// goroutine-per-node engine does not record one.
+// printPerRound renders the run's per-round traffic histogram.
 func printPerRound(st *runtime.Stats) {
-	if st.PerRound == nil {
-		fmt.Println("per-round: not recorded by this engine (use -engine seq or workers)")
-		return
-	}
 	fmt.Println("per-round traffic:")
 	fmt.Printf("  %5s  %9s  %10s\n", "round", "messages", "bytes")
 	for r, t := range st.PerRound {

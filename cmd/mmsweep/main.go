@@ -12,7 +12,7 @@
 //	mmsweep -grid list
 //
 // Each cell — one (family, parameters, algorithm, repetition) — derives a
-// deterministic seed from -seed, runs on the slab engine, and becomes one
+// deterministic seed from -seed, runs on runtime.Run, and becomes one
 // JSON line: instance shape, rounds, messages, matching size, the
 // per-round traffic histogram, and (with -check-bounds) any violations of
 // the paper's communication contracts.
@@ -84,7 +84,7 @@ func run() int {
 	out := flag.String("out", "-", "JSONL output path (\"-\" = stdout); rows stream and flush as cells finish")
 	resume := flag.Bool("resume", false, "continue an interrupted sweep: keep -out's complete rows, skip their cells, append the rest (requires -out file)")
 	cellWorkers := flag.Int("cell-workers", 0, "concurrent cells (0 = GOMAXPROCS)")
-	engineWorkers := flag.Int("engine-workers", 0, "workers per execution (≤1 = sequential slab engine)")
+	engineWorkers := flag.Int("engine-workers", 0, "workers per execution (≤1 = inline round loop)")
 	buildWorkers := flag.Int("build-workers", 0, "workers per instance construction (≥1 = sharded parallel builder; 0 = sequential)")
 	window := flag.Int("reorder-window", 0, "max rows buffered for in-order emission (0 = 2×cell-workers)")
 	shardSpec := flag.String("shard", "", "run one worker of an i/N-sharded sweep into <out>.shard<i>of<N> (resumes automatically)")

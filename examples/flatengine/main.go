@@ -1,9 +1,8 @@
 // Flatengine demonstrates the scale target of the flat execution engine:
 // maximal matching on instances with hundreds of thousands to millions of
-// nodes. Goroutine-per-node execution would need n goroutines and 2|E|
-// channels; the worker-pool engine uses GOMAXPROCS goroutines, a dense
-// per-directed-edge message slab, and an allocation-free round loop, so
-// n = 1<<20 at k = 6 is routine:
+// nodes. The engine runs GOMAXPROCS workers over a bitset frontier, a
+// dense per-directed-edge message slab and an allocation-free round loop,
+// so n = 1<<20 at k = 6 is routine:
 //
 //	go run ./examples/flatengine -n 1048576
 //
@@ -26,6 +25,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	goruntime "runtime"
 	"time"
 
 	"repro/internal/dist"
@@ -94,7 +94,7 @@ func main() {
 		g.N(), g.NumEdges(), g.K(), time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	outs, stats, err := runtime.RunWorkersLabeled(g, labels, factory, maxRounds)
+	outs, stats, err := runtime.Run(g, labels, factory, maxRounds, goruntime.GOMAXPROCS(0))
 	if err != nil {
 		log.Fatal(err)
 	}

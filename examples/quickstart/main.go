@@ -34,9 +34,10 @@ func main() {
 		}
 	}
 
-	// Run the greedy machine: every node is an anonymous goroutine-driven
-	// state machine that knows only its incident edge colours.
-	outs, stats, err := runtime.RunConcurrent(g, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+	// Run the greedy machine: every node is an anonymous state machine that
+	// knows only its incident edge colours. The last argument is the engine
+	// worker count; 1 runs the synchronous rounds inline.
+	outs, stats, err := runtime.Run(g, nil, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g), 1)
 	if err != nil {
 		log.Fatal(err)
 	}

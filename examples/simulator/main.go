@@ -1,5 +1,5 @@
-// Simulator showcases the goroutine-per-node LOCAL runtime and the §1.3
-// upper-bound regime: on a graph with small maximum degree Δ but a huge
+// Simulator showcases the LOCAL runtime on the §1.3 upper-bound regime:
+// on a graph with small maximum degree Δ but a huge
 // palette k, Linial colour reduction collapses the palette in O(log* k)
 // rounds, after which greedy finishes in rounds that depend only on Δ —
 // far below the k−1 bound that plain greedy is stuck with.
@@ -39,7 +39,7 @@ func main() {
 
 	// Plain greedy: worst case k−1 rounds; here it needs about as many
 	// rounds as the largest colour present.
-	outs, stats, err := runtime.RunConcurrent(g, dist.NewGreedyMachine, 2*k)
+	outs, stats, err := runtime.Run(g, nil, dist.NewGreedyMachine, 2*k, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 
 	// Reduced greedy: O(log* k) + O(f(Δ)) rounds.
 	budget := dist.TotalRounds(k, delta) + 8
-	outs, stats, err = runtime.RunConcurrent(g, dist.NewReducedGreedyMachine(delta), budget)
+	outs, stats, err = runtime.Run(g, nil, dist.NewReducedGreedyMachine(delta), budget, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 		stats.Rounds, stats.Messages, dist.TotalRounds(k, delta))
 
 	// Proposal baseline for contrast.
-	outs, stats, err = runtime.RunConcurrent(g, dist.NewProposalMachine, 4*k+n)
+	outs, stats, err = runtime.Run(g, nil, dist.NewProposalMachine, 4*k+n, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +72,4 @@ func main() {
 	fmt.Printf("proposal:        %6d rounds, %7d messages (palette-independent here,\n",
 		stats.Rounds, stats.Messages)
 	fmt.Println("                 but Θ(n) on adversarial chains — see experiment E11)")
-
-	fmt.Println("\neach node ran as its own goroutine; synchrony came from the")
-	fmt.Println("channel-per-edge α-synchroniser, not from a global barrier.")
 }

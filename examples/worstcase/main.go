@@ -40,7 +40,7 @@ func main() {
 
 	// …so after k−2 communication rounds (views of radius k−1) no
 	// deterministic algorithm can treat them differently. Greedy must:
-	outs, stats, err := runtime.RunSequential(wc.G, dist.NewGreedyMachine, 100)
+	outs, stats, err := runtime.Run(wc.G, nil, dist.NewGreedyMachine, 100, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

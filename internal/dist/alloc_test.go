@@ -9,14 +9,15 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestReducedPipelineRoundLoopAllocFree pins the arena-batched workers
-// engine's allocation behaviour: once the machine pool, the engine scratch
-// and the round arenas are warm, a full reduced-greedy run allocates only
-// its per-run outputs — nothing per node per round. The old colour-list
-// path allocated ≥ n payloads every reduction round (n·rounds ≈ 50k allocs
-// on the large palette below), so the absolute bound fails loudly on any
-// per-round regression, and the small-vs-large comparison catches costs
-// that scale with the round count.
+// TestReducedPipelineRoundLoopAllocFree pins the engine's allocation
+// behaviour on the arena-packed reduced machine with four workers: once
+// the machine pool, the engine scratch and the round arenas are warm, a
+// full reduced-greedy run allocates only its per-run outputs — nothing per
+// node per round. A heap-allocated colour list would cost ≥ n payloads
+// every reduction round (n·rounds ≈ 50k allocs on the large palette
+// below), so the absolute bound fails loudly on any per-round regression,
+// and the small-vs-large comparison catches costs that scale with the
+// round count.
 func TestReducedPipelineRoundLoopAllocFree(t *testing.T) {
 	const (
 		n     = 1024
@@ -33,7 +34,7 @@ func TestReducedPipelineRoundLoopAllocFree(t *testing.T) {
 	pool := dist.NewReducedGreedyMachinePool(delta, n)
 	run := func(g *graph.Graph) {
 		maxR := dist.TotalRounds(g.K(), delta) + 8
-		if _, _, err := runtime.RunWorkersN(g, nil, pool, maxR, 4); err != nil {
+		if _, _, err := runtime.Run(g, nil, pool, maxR, 4); err != nil {
 			t.Fatal(err)
 		}
 	}

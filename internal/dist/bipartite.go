@@ -79,7 +79,8 @@ func (m *BipartiteMachine) untried() int {
 	return -1
 }
 
-func (m *BipartiteMachine) send(emit func(group.Color, runtime.Message)) {
+// Send implements runtime.Machine.
+func (m *BipartiteMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 	odd := m.round%2 == 0 // the round being sent is round+1
 	special := -1
 	var specialMsg runtime.Message
@@ -100,29 +101,15 @@ func (m *BipartiteMachine) send(emit func(group.Color, runtime.Message)) {
 			continue
 		}
 		if i == special {
-			emit(m.colors[i], specialMsg)
+			out[m.colors[i]] = specialMsg
 		} else {
-			emit(m.colors[i], msgFree)
+			out[m.colors[i]] = msgFree
 		}
 	}
 }
 
-// SendFlat implements runtime.FlatMachine.
-func (m *BipartiteMachine) SendFlat(out []runtime.Message) {
-	m.send(func(c group.Color, msg runtime.Message) { out[c] = msg })
-}
-
-// Send implements runtime.Machine.
-func (m *BipartiteMachine) Send() map[group.Color]runtime.Message {
-	if m.nlive == 0 {
-		return nil
-	}
-	out := make(map[group.Color]runtime.Message, m.nlive)
-	m.send(func(c group.Color, msg runtime.Message) { out[c] = msg })
-	return out
-}
-
-func (m *BipartiteMachine) receive(get func(group.Color) (runtime.Message, bool)) {
+// Receive implements runtime.Machine.
+func (m *BipartiteMachine) Receive(in []runtime.Message) {
 	m.round++
 	odd := m.round%2 == 1
 	best := -1
@@ -130,8 +117,8 @@ func (m *BipartiteMachine) receive(get func(group.Color) (runtime.Message, bool)
 		if !ok {
 			continue
 		}
-		msg, got := get(m.colors[i])
-		if !got {
+		msg := in[m.colors[i]]
+		if msg == nil {
 			m.live[i] = false
 			m.nlive--
 			if i == m.cur {
@@ -170,24 +157,6 @@ func (m *BipartiteMachine) receive(get func(group.Color) (runtime.Message, bool)
 	if m.nlive == 0 && m.cur < 0 && m.pending < 0 {
 		m.halted = true // every neighbour is matched: ⊥ is final
 	}
-}
-
-// ReceiveFlat implements runtime.FlatMachine.
-func (m *BipartiteMachine) ReceiveFlat(in []runtime.Message) {
-	m.receive(func(c group.Color) (runtime.Message, bool) {
-		if msg := in[c]; msg != nil {
-			return msg, true
-		}
-		return nil, false
-	})
-}
-
-// Receive implements runtime.Machine.
-func (m *BipartiteMachine) Receive(in map[group.Color]runtime.Message) {
-	m.receive(func(c group.Color) (runtime.Message, bool) {
-		msg, ok := in[c]
-		return msg, ok
-	})
 }
 
 // Halted implements runtime.Machine.

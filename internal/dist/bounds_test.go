@@ -70,7 +70,7 @@ func TestProposalRoundBoundTightOnChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := wc.G.N()
-	_, st, err := runtime.RunSequential(wc.G, NewProposalMachine, n+8)
+	_, st, err := runtime.Run(wc.G, nil, NewProposalMachine, n+8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // wire is the tiny control-message vocabulary shared by the machines. The
-// values are boxed once into package-level runtime.Message variables so the
-// flat send path never allocates.
+// values are boxed once into package-level runtime.Message variables so
+// sending never allocates.
 type wire uint8
 
 const (
@@ -61,14 +61,14 @@ type GreedyMachine struct {
 
 // NewGreedyMachine is a runtime.Factory — hence a runtime.Source — for
 // GreedyMachine. It is a variable of Factory type so call sites keep
-// passing it by name to engines that now take a Source.
+// passing it by name to runtime.Run, which takes a Source.
 var NewGreedyMachine runtime.Factory = func() runtime.Machine { return &GreedyMachine{} }
 
 // NewGreedyMachinePool returns a pooling-aware runtime.Source backed by a
 // fixed arena of n machines reused across runs: Init fully resets a
 // machine, so an engine driving an n-node instance repeatedly performs no
-// per-node allocation after the first run. Engines request the whole batch
-// through NewPool rather than n factory calls.
+// per-node allocation after the first run. The engine requests the whole
+// batch through NewPool rather than n factory calls.
 func NewGreedyMachinePool(n int) runtime.Source {
 	return runtime.NewPool[GreedyMachine](n, nil)
 }
@@ -102,30 +102,22 @@ func (m *GreedyMachine) decideColor() (group.Color, bool) {
 	return c, m.pos < len(m.colors) && m.colors[m.pos] == c
 }
 
-// SendFlat implements runtime.FlatMachine: a free node sends "free" only on
-// the edge whose class is decided this round — one slot at most.
-func (m *GreedyMachine) SendFlat(out []runtime.Message) {
+// Send implements runtime.Machine: a free node sends "free" only on the
+// edge whose class is decided this round — one slot at most.
+func (m *GreedyMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 	if c, ok := m.decideColor(); ok {
 		out[c] = msgFree
 	}
 }
 
-// Send implements runtime.Machine (map-based compatibility path).
-func (m *GreedyMachine) Send() map[group.Color]runtime.Message {
-	if c, ok := m.decideColor(); ok {
-		return map[group.Color]runtime.Message{c: msgFree}
-	}
-	return nil
-}
-
-// receive finishes the round: if this node has an edge of the decided class
-// and its peer announced "free", both endpoints match along it (the
-// decision is symmetric, hence consistent); once the node's largest colour
-// class has been decided, it halts.
-func (m *GreedyMachine) receive(present func(group.Color) bool) {
+// Receive implements runtime.Machine and finishes the round: if this node
+// has an edge of the decided class and its peer announced "free", both
+// endpoints match along it (the decision is symmetric, hence consistent);
+// once the node's largest colour class has been decided, it halts.
+func (m *GreedyMachine) Receive(in []runtime.Message) {
 	c, has := m.decideColor()
 	m.round++
-	if has && present(c) {
+	if has && in[c] != nil {
 		m.out = mm.Matched(c)
 		m.halted = true
 		return
@@ -133,16 +125,6 @@ func (m *GreedyMachine) receive(present func(group.Color) bool) {
 	if m.colors[len(m.colors)-1] <= c {
 		m.halted = true // every incident class is decided; output stays ⊥
 	}
-}
-
-// ReceiveFlat implements runtime.FlatMachine.
-func (m *GreedyMachine) ReceiveFlat(in []runtime.Message) {
-	m.receive(func(c group.Color) bool { return in[c] != nil })
-}
-
-// Receive implements runtime.Machine.
-func (m *GreedyMachine) Receive(in map[group.Color]runtime.Message) {
-	m.receive(func(c group.Color) bool { _, ok := in[c]; return ok })
 }
 
 // Halted implements runtime.Machine.

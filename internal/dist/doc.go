@@ -1,6 +1,6 @@
 // Package dist implements the distributed maximal-matching machines of
 // Hirvonen & Suomela (PODC 2012) and the §1.1/§1.3 companions, as per-node
-// state machines for the runtime engines. Each machine maps to a part of
+// state machines for the runtime engine. Each machine maps to a part of
 // the paper:
 //
 //   - GreedyMachine — the greedy algorithm of §1.2 (Figure 1, Lemma 1):
@@ -39,14 +39,13 @@
 // ReducedContract, ProposalContract, BipartiteContract) states these
 // budgets — per-node and per-edge messages per round, bytes per message,
 // rounds per run — as per-instance constants; internal/sweep holds the
-// engines' recorded traffic histograms against them, making the bounds
+// engine's recorded traffic histograms against them, making the bounds
 // machine-checked rather than eyeballed.
 //
-// All machines implement both the map-based runtime.Machine interface and
-// the dense runtime.FlatMachine fast path (ReducedGreedyMachine also
-// runtime.ArenaMachine, so its colour lists bump-allocate from the round
-// arena), and all are deterministic: every engine produces identical
-// outputs and statistics. Each machine also has a pooling-aware Source
+// All machines implement runtime.Machine, the one colour-indexed protocol
+// (ReducedGreedyMachine packs its colour lists into the round arena the
+// engine passes to Send), and all are deterministic: runtime.Run produces
+// identical outputs and statistics at every worker count. Each machine also has a pooling-aware Source
 // constructor (New*MachinePool) whose fixed arena of machines makes
 // repeated runs allocation-free.
 package dist

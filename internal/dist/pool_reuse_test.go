@@ -10,9 +10,10 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestPooledStateReuseAcrossRuns drives the workers engine back-to-back
-// over graphs of different n and k with machine pools shared across runs,
-// and asserts every run matches a fresh sequential execution: no stale
+// TestPooledStateReuseAcrossRuns drives the engine back-to-back over graphs
+// of different n and k with machine pools shared across runs, at several
+// worker counts, and asserts every run matches an inline run on fresh
+// machines: no stale
 // live/slab/arena/machine state may leak between runs. CI runs this under
 // -race, which additionally checks the engine's internal sharing.
 func TestPooledStateReuseAcrossRuns(t *testing.T) {
@@ -63,12 +64,12 @@ func TestPooledStateReuseAcrossRuns(t *testing.T) {
 	// engine state warmed (and possibly dirtied) by every earlier shape.
 	for pass := 1; pass <= 2; pass++ {
 		for _, inst := range instances {
-			want, wantStats, err := runtime.RunSequential(inst.g, inst.fresh, inst.maxR)
+			want, wantStats, err := runtime.Run(inst.g, nil, inst.fresh, inst.maxR, 1)
 			if err != nil {
-				t.Fatalf("pass %d %s: sequential: %v", pass, inst.name, err)
+				t.Fatalf("pass %d %s: fresh: %v", pass, inst.name, err)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				got, gotStats, err := runtime.RunWorkersN(inst.g, nil, inst.pooled, inst.maxR, workers)
+				got, gotStats, err := runtime.Run(inst.g, nil, inst.pooled, inst.maxR, workers)
 				if err != nil {
 					t.Fatalf("pass %d %s workers=%d: %v", pass, inst.name, workers, err)
 				}

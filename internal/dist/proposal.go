@@ -59,43 +59,31 @@ func (m *ProposalMachine) target() int {
 	return -1
 }
 
-func (m *ProposalMachine) send(emit func(group.Color, runtime.Message)) {
+// Send implements runtime.Machine: a proposal on the target edge, "free"
+// on every other live edge.
+func (m *ProposalMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 	m.prop = m.target()
 	for i, ok := range m.live {
 		if !ok {
 			continue
 		}
 		if i == m.prop {
-			emit(m.colors[i], msgPropose)
+			out[m.colors[i]] = msgPropose
 		} else {
-			emit(m.colors[i], msgFree)
+			out[m.colors[i]] = msgFree
 		}
 	}
 }
 
-// SendFlat implements runtime.FlatMachine.
-func (m *ProposalMachine) SendFlat(out []runtime.Message) {
-	m.send(func(c group.Color, msg runtime.Message) { out[c] = msg })
-}
-
-// Send implements runtime.Machine.
-func (m *ProposalMachine) Send() map[group.Color]runtime.Message {
-	if m.nlive == 0 {
-		return nil
-	}
-	out := make(map[group.Color]runtime.Message, m.nlive)
-	m.send(func(c group.Color, msg runtime.Message) { out[c] = msg })
-	return out
-}
-
-func (m *ProposalMachine) receive(get func(group.Color) (runtime.Message, bool)) {
+// Receive implements runtime.Machine.
+func (m *ProposalMachine) Receive(in []runtime.Message) {
 	matched := -1
 	for i, ok := range m.live {
 		if !ok {
 			continue
 		}
-		msg, got := get(m.colors[i])
-		if !got {
+		msg := in[m.colors[i]]
+		if msg == nil {
 			// Silence: the peer halted; the edge is gone for good.
 			m.live[i] = false
 			m.nlive--
@@ -114,24 +102,6 @@ func (m *ProposalMachine) receive(get func(group.Color) (runtime.Message, bool))
 	if m.nlive == 0 {
 		m.halted = true // all neighbours matched away: ⊥ is final
 	}
-}
-
-// ReceiveFlat implements runtime.FlatMachine.
-func (m *ProposalMachine) ReceiveFlat(in []runtime.Message) {
-	m.receive(func(c group.Color) (runtime.Message, bool) {
-		if msg := in[c]; msg != nil {
-			return msg, true
-		}
-		return nil, false
-	})
-}
-
-// Receive implements runtime.Machine.
-func (m *ProposalMachine) Receive(in map[group.Color]runtime.Message) {
-	m.receive(func(c group.Color) (runtime.Message, bool) {
-		msg, ok := in[c]
-		return msg, ok
-	})
 }
 
 // Halted implements runtime.Machine.

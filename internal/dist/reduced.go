@@ -118,18 +118,6 @@ func (m *ReducedGreedyMachine) greedyStart() {
 	}
 }
 
-// colorList snapshots the node's current edge colours as a *ColorList; the
-// same payload is sent on every edge (receivers only read it). With an
-// arena the snapshot is delta+varint packed into the worker's pooled byte
-// slab and costs nothing; without one (sequential/concurrent engines) it
-// is an eager heap copy.
-func (m *ReducedGreedyMachine) colorList(arena *runtime.RoundArena) *runtime.ColorList {
-	if arena != nil {
-		return arena.Pack(m.cur)
-	}
-	return &runtime.ColorList{Colors: append(make([]group.Color, 0, len(m.cur)), m.cur...)}
-}
-
 // greedyPos returns the position whose reduced class is decided in the
 // upcoming receive (class t+1 at relative greedy round t), or -1.
 func (m *ReducedGreedyMachine) greedyPos(r int) int {
@@ -142,45 +130,23 @@ func (m *ReducedGreedyMachine) greedyPos(r int) int {
 	return -1
 }
 
-func (m *ReducedGreedyMachine) send(emit func(group.Color, runtime.Message), arena *runtime.RoundArena) {
+// Send implements runtime.Machine. In the reduction phases the node's
+// current edge colours go out on every edge as one payload, delta+varint
+// packed into the round arena: receivers only read it, and boxing the
+// *ColorList into the Message interface stores one pointer word, so the
+// send allocates nothing.
+func (m *ReducedGreedyMachine) Send(out []runtime.Message, arena *runtime.RoundArena) {
 	r := m.round + 1
 	if r <= m.sRounds+m.rRounds {
-		// Boxing the *ColorList into the Message interface stores one
-		// pointer word, so the arena path performs no allocation at all.
-		msg := runtime.Message(m.colorList(arena))
+		msg := runtime.Message(arena.Pack(m.cur))
 		for _, c := range m.colors {
-			emit(c, msg)
+			out[c] = msg
 		}
 		return
 	}
 	if i := m.greedyPos(r); i >= 0 {
-		emit(m.colors[i], msgFree)
+		out[m.colors[i]] = msgFree
 	}
-}
-
-// SendFlat implements runtime.FlatMachine.
-func (m *ReducedGreedyMachine) SendFlat(out []runtime.Message) {
-	m.send(func(c group.Color, msg runtime.Message) { out[c] = msg }, nil)
-}
-
-// SendFlatArena implements runtime.ArenaMachine: identical to SendFlat
-// except that colour-list payloads are bump-allocated from the per-worker
-// round arena, making the reduction and recolouring phases allocation-free
-// under the workers engine.
-func (m *ReducedGreedyMachine) SendFlatArena(out []runtime.Message, arena *runtime.RoundArena) {
-	m.send(func(c group.Color, msg runtime.Message) { out[c] = msg }, arena)
-}
-
-// Send implements runtime.Machine.
-func (m *ReducedGreedyMachine) Send() map[group.Color]runtime.Message {
-	var out map[group.Color]runtime.Message
-	m.send(func(c group.Color, msg runtime.Message) {
-		if out == nil {
-			out = make(map[group.Color]runtime.Message, len(m.colors))
-		}
-		out[c] = msg
-	}, nil)
-	return out
 }
 
 // blockedFor collects the colours of all edges adjacent to position i: the
@@ -208,7 +174,8 @@ func (m *ReducedGreedyMachine) blockedFor(i int, peerList []group.Color) []int {
 	return blocked
 }
 
-func (m *ReducedGreedyMachine) receive(get func(group.Color) (runtime.Message, bool)) {
+// Receive implements runtime.Machine.
+func (m *ReducedGreedyMachine) Receive(in []runtime.Message) {
 	r := m.round + 1
 	m.round = r
 	switch {
@@ -222,7 +189,7 @@ func (m *ReducedGreedyMachine) receive(get func(group.Color) (runtime.Message, b
 		}
 		next := m.next[:len(m.cur)]
 		for i := range m.cur {
-			peerList := m.peerList(get, i)
+			peerList := m.peerList(in, i)
 			nc, ok := stepColor(st, int(m.cur[i]), m.blockedFor(i, peerList))
 			if !ok {
 				panic(fmt.Sprintf("dist: reduction step found no free evaluation point; instance degree exceeds Δ = %d", m.delta))
@@ -238,7 +205,7 @@ func (m *ReducedGreedyMachine) receive(get func(group.Color) (runtime.Message, b
 			if m.cur[i] != class {
 				continue
 			}
-			peerList := m.peerList(get, i)
+			peerList := m.peerList(in, i)
 			nc, ok := freeColor(m.target, m.blockedFor(i, peerList))
 			if !ok {
 				panic(fmt.Sprintf("dist: recolouring found no free colour below 2Δ−1; instance degree exceeds Δ = %d", m.delta))
@@ -248,7 +215,7 @@ func (m *ReducedGreedyMachine) receive(get func(group.Color) (runtime.Message, b
 	default:
 		// Phase 3: greedy on the reduced palette.
 		if i := m.greedyPos(r); i >= 0 {
-			if _, ok := get(m.colors[i]); ok {
+			if in[m.colors[i]] != nil {
 				m.out = mm.Matched(m.colors[i])
 				m.halted = true
 				return
@@ -267,41 +234,19 @@ func (m *ReducedGreedyMachine) receive(get func(group.Color) (runtime.Message, b
 // peerList extracts the colour list the peer behind position i sent this
 // round. During the reduction phases every non-isolated node is live, so a
 // missing or malformed message is a protocol violation, not a halt signal.
-// Eager lists are read zero-copy; packed lists decode into the machine's
-// reusable scratch (valid until the next call), so neither representation
-// allocates at steady state.
-func (m *ReducedGreedyMachine) peerList(get func(group.Color) (runtime.Message, bool), i int) []group.Color {
-	msg, ok := get(m.colors[i])
-	if !ok {
+// The list decodes into the machine's reusable scratch (valid until the
+// next call), so it allocates nothing at steady state.
+func (m *ReducedGreedyMachine) peerList(in []runtime.Message, i int) []group.Color {
+	msg := in[m.colors[i]]
+	if msg == nil {
 		panic("dist: reduction round missing a neighbour's colour list")
 	}
 	list, ok := msg.(*runtime.ColorList)
 	if !ok {
 		panic("dist: reduction round received a non-colour-list message")
 	}
-	if cols := list.Eager(); cols != nil || list.Len() == 0 {
-		return cols
-	}
 	m.peer = list.AppendTo(m.peer[:0])
 	return m.peer
-}
-
-// ReceiveFlat implements runtime.FlatMachine.
-func (m *ReducedGreedyMachine) ReceiveFlat(in []runtime.Message) {
-	m.receive(func(c group.Color) (runtime.Message, bool) {
-		if msg := in[c]; msg != nil {
-			return msg, true
-		}
-		return nil, false
-	})
-}
-
-// Receive implements runtime.Machine.
-func (m *ReducedGreedyMachine) Receive(in map[group.Color]runtime.Message) {
-	m.receive(func(c group.Color) (runtime.Message, bool) {
-		msg, ok := in[c]
-		return msg, ok
-	})
 }
 
 // Halted implements runtime.Machine.

@@ -135,7 +135,7 @@ func TestParse(t *testing.T) {
 }
 
 // TestEveryScenarioRunsGreedy builds each family at modest size and runs
-// the greedy machine on the workers engine, validating the matching — the
+// the greedy machine on two engine workers, validating the matching — the
 // registry's instances must all be executable, not just constructible.
 func TestEveryScenarioRunsGreedy(t *testing.T) {
 	for _, s := range gen.All() {
@@ -148,7 +148,7 @@ func TestEveryScenarioRunsGreedy(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		g := inst.G
-		outs, _, err := runtime.RunWorkersLabeled(g, inst.Labels, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+		outs, _, err := runtime.Run(g, inst.Labels, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g), 2)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -173,8 +173,8 @@ func TestDoubleCoverIsBipartite(t *testing.T) {
 			t.Fatalf("edge {%d, %d} joins two side-%d nodes", e.U, e.V, inst.Labels[e.U])
 		}
 	}
-	outs, _, err := runtime.RunWorkersLabeled(inst.G, inst.Labels, dist.NewBipartiteMachine,
-		4*inst.G.MaxDegree()+16)
+	outs, _, err := runtime.Run(inst.G, inst.Labels, dist.NewBipartiteMachine,
+		4*inst.G.MaxDegree()+16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCaterpillarForcesFullGreedySchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := runtime.RunSequential(inst.G, dist.NewGreedyMachine, 4*k)
+		_, stats, err := runtime.Run(inst.G, nil, dist.NewGreedyMachine, 4*k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

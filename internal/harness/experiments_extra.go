@@ -88,8 +88,8 @@ func e14() Experiment {
 					v := p.n + rng.Intn(p.n)
 					_ = g.AddEdge(u, v, group.Color(1+rng.Intn(p.k)))
 				}
-				outs, stats, err := runtime.RunSequentialLabeled(g, labels, dist.NewBipartiteMachine,
-					4*g.MaxDegree()+16)
+				outs, stats, err := runtime.Run(g, labels, dist.NewBipartiteMachine,
+					4*g.MaxDegree()+16, 1)
 				if err != nil {
 					return err
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	goruntime "runtime"
 
 	"repro/internal/dist"
 	"repro/internal/gen"
@@ -13,8 +14,8 @@ import (
 
 // e15 exercises the scenario generator subsystem: every registered family
 // is built twice from the same seed (the builds must be byte-identical),
-// validated structurally, and executed with the greedy machine on the
-// workers engine — labelled families (double-cover) additionally run the
+// validated structurally, and executed with the greedy machine on
+// GOMAXPROCS engine workers — labelled families (double-cover) additionally run the
 // §1.1 bipartite machine on their labels. The table doubles as a catalogue
 // of the families available to mmrun -scenario.
 func e15() Experiment {
@@ -45,8 +46,8 @@ func e15() Experiment {
 				if err := g.Validate(); err != nil {
 					return fmt.Errorf("%s: %w", s.Name, err)
 				}
-				outs, stats, err := runtime.RunWorkersLabeled(g, inst.Labels, dist.NewGreedyMachine,
-					runtime.DefaultMaxRounds(g))
+				outs, stats, err := runtime.Run(g, inst.Labels, dist.NewGreedyMachine,
+					runtime.DefaultMaxRounds(g), goruntime.GOMAXPROCS(0))
 				if err != nil {
 					return fmt.Errorf("%s: %w", s.Name, err)
 				}
@@ -60,8 +61,8 @@ func e15() Experiment {
 					}
 				}
 				if inst.Labels != nil {
-					bouts, _, err := runtime.RunWorkersLabeled(g, inst.Labels, dist.NewBipartiteMachine,
-						4*g.MaxDegree()+16)
+					bouts, _, err := runtime.Run(g, inst.Labels, dist.NewBipartiteMachine,
+						4*g.MaxDegree()+16, goruntime.GOMAXPROCS(0))
 					if err != nil {
 						return fmt.Errorf("%s (bipartite): %w", s.Name, err)
 					}

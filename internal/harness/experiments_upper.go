@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	goruntime "runtime"
 
 	"repro/internal/colsys"
 	"repro/internal/dist"
@@ -25,7 +26,7 @@ func e1() Experiment {
 			table := NewTable("instance", "n", "|E|", "Δ", "k", "rounds", "bound k−1", "|M|", "maximal")
 
 			run := func(name string, g *graph.Graph) error {
-				outs, stats, err := runtime.RunSequential(g, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+				outs, stats, err := runtime.Run(g, nil, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g), 1)
 				if err != nil {
 					return err
 				}
@@ -35,9 +36,9 @@ func e1() Experiment {
 				if stats.Rounds > g.K()-1 {
 					return fmt.Errorf("%s: %d rounds exceeds k−1 = %d", name, stats.Rounds, g.K()-1)
 				}
-				// Cross-check the flat worker-pool engine against the
-				// sequential reference on every instance of the experiment.
-				wouts, wstats, err := runtime.RunWorkers(g, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+				// Cross-check the parallel round loop against the inline one
+				// on every instance of the experiment.
+				wouts, wstats, err := runtime.Run(g, nil, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g), goruntime.GOMAXPROCS(0))
 				if err != nil {
 					return err
 				}
@@ -100,7 +101,7 @@ func e2() Experiment {
 				if err != nil {
 					return err
 				}
-				outs, stats, err := runtime.RunSequential(wc.G, dist.NewGreedyMachine, runtime.DefaultMaxRounds(wc.G))
+				outs, stats, err := runtime.Run(wc.G, nil, dist.NewGreedyMachine, runtime.DefaultMaxRounds(wc.G), 1)
 				if err != nil {
 					return err
 				}
@@ -173,18 +174,18 @@ func e11Measure(k, delta int) (e11Row, error) {
 		return row, err
 	}
 	maxR := 4*k + wc.G.N() + 16
-	_, greedyWorst, err := runtime.RunSequential(wc.G, dist.NewGreedyMachine, maxR)
+	_, greedyWorst, err := runtime.Run(wc.G, nil, dist.NewGreedyMachine, maxR, 1)
 	if err != nil {
 		return row, err
 	}
-	_, propWorst, err := runtime.RunSequential(wc.G, dist.NewProposalMachine, maxR)
+	_, propWorst, err := runtime.Run(wc.G, nil, dist.NewProposalMachine, maxR, 1)
 	if err != nil {
 		return row, err
 	}
 
 	rng := rand.New(rand.NewSource(11<<16 + int64(k)))
 	g := graph.RandomBoundedDegree(128, k, delta, 600, rng)
-	outs, greedyRand, err := runtime.RunSequential(g, dist.NewGreedyMachine, maxR)
+	outs, greedyRand, err := runtime.Run(g, nil, dist.NewGreedyMachine, maxR, 1)
 	if err != nil {
 		return row, err
 	}
@@ -192,16 +193,16 @@ func e11Measure(k, delta int) (e11Row, error) {
 		return row, err
 	}
 	row.pred = dist.TotalRounds(k, delta)
-	outs, reducedRand, err := runtime.RunSequential(g, dist.NewReducedGreedyMachine(delta), row.pred+8)
+	outs, reducedRand, err := runtime.Run(g, nil, dist.NewReducedGreedyMachine(delta), row.pred+8, 1)
 	if err != nil {
 		return row, err
 	}
 	if err := graph.CheckMatching(g, outs); err != nil {
 		return row, err
 	}
-	// Cross-check the arena-batched workers engine against the sequential
-	// reference on the reduced pipeline — the heaviest message path.
-	wouts, wstats, err := runtime.RunWorkers(g, dist.NewReducedGreedyMachinePool(delta, g.N()), row.pred+8)
+	// Cross-check the parallel round loop against the inline one on the
+	// reduced pipeline — the heaviest message path.
+	wouts, wstats, err := runtime.Run(g, nil, dist.NewReducedGreedyMachinePool(delta, g.N()), row.pred+8, goruntime.GOMAXPROCS(0))
 	if err != nil {
 		return row, err
 	}
@@ -213,7 +214,7 @@ func e11Measure(k, delta int) (e11Row, error) {
 	if wstats.Rounds != reducedRand.Rounds {
 		return row, fmt.Errorf("k=%d: workers rounds %d, sequential %d", k, wstats.Rounds, reducedRand.Rounds)
 	}
-	outs, propRand, err := runtime.RunSequential(g, dist.NewProposalMachine, maxR)
+	outs, propRand, err := runtime.Run(g, nil, dist.NewProposalMachine, maxR, 1)
 	if err != nil {
 		return row, err
 	}

@@ -14,48 +14,29 @@ import (
 // on every send. Receivers may read the list during their receive call
 // only; the backing memory is recycled when the round ends.
 //
-// A list holds one of two representations: eager (Colors, the heap path of
-// the sequential/concurrent engines) or packed (a delta+varint byte string
-// bump-allocated by RoundArena.Pack — consecutive colours are close after
-// the Linial steps, so most deltas fit one byte and the arena's slab
-// traffic shrinks roughly 8×). WireBytes is 8 bytes per colour in either
-// case: packing is an engine-internal storage optimisation, not a change
-// to the model's wire vocabulary, so the traffic histograms — and the
-// paper's communication bounds checked against them — are unaffected.
+// A list is packed: a delta+varint byte string bump-allocated by
+// RoundArena.Pack. Consecutive colours are close after the Linial steps, so
+// most deltas fit one byte and the arena's slab traffic is roughly 8×
+// smaller than a []Color copy. WireBytes is still 8 bytes per colour:
+// packing is an engine-internal storage optimisation, not a change to the
+// model's wire vocabulary, so the traffic histograms — and the paper's
+// communication bounds checked against them — are unaffected.
 type ColorList struct {
-	Colors []group.Color
 	packed []byte
 	count  int
 }
 
 // Len is the number of colours in the list.
-func (l *ColorList) Len() int {
-	if l.packed != nil {
-		return l.count
-	}
-	return len(l.Colors)
-}
+func (l *ColorList) Len() int { return l.count }
 
 // WireBytes implements Sizer for the traffic histograms: a colour list
-// costs one machine word per colour on the wire, however it is stored.
+// costs one machine word per colour on the wire, whatever its packed size.
 func (l *ColorList) WireBytes() int { return 8 * l.Len() }
 
-// Eager returns the eagerly-stored colours, or nil when the list is packed
-// (decode with AppendTo). Receivers use it to keep the heap path zero-copy.
-func (l *ColorList) Eager() []group.Color {
-	if l.packed != nil {
-		return nil
-	}
-	return l.Colors
-}
-
-// AppendTo appends the list's colours to dst and returns it. Packed lists
-// are decoded in place — zigzag uvarint deltas, the inverse of Pack — so a
-// receiver with a reusable scratch buffer reads them without allocating.
+// AppendTo appends the list's colours to dst and returns it. The list is
+// decoded in place — zigzag uvarint deltas, the inverse of Pack — so a
+// receiver with a reusable scratch buffer reads it without allocating.
 func (l *ColorList) AppendTo(dst []group.Color) []group.Color {
-	if l.packed == nil {
-		return append(dst, l.Colors...)
-	}
 	p := l.packed
 	prev := int64(0)
 	for i := 0; i < l.count; i++ {
@@ -68,30 +49,27 @@ func (l *ColorList) AppendTo(dst []group.Color) []group.Color {
 }
 
 // RoundArena is a per-worker bump allocator for one round's outgoing
-// message payloads. The engine hands it to ArenaMachine implementations
-// during the send phase and resets it once the round's receive phase has
-// completed behind a barrier, so payloads written into it live exactly as
-// long as the messages that reference them are in flight.
+// message payloads. The engine hands it to Machine.Send and resets it once
+// the round's receive phase has completed, so payloads written into it
+// live exactly as long as the messages that reference them are in flight.
 //
-// Contract for ArenaMachine implementers:
+// Contract for machines:
 //
-//   - Allocate payloads only during SendFlatArena, only from the arena
-//     passed in, and do not retain the arena itself across calls.
+//   - Allocate payloads only during Send, only from the arena passed in,
+//     and do not retain the arena itself across calls.
 //   - A payload may be shared across all of the node's outgoing edges in
 //     the same round (receivers only read it).
 //   - Receivers must not retain a payload — or any slice into it — past
-//     the ReceiveFlat call that delivered it; the arena recycles the
-//     backing slabs on the next round's send phase.
+//     the Receive call that delivered it; the arena recycles the backing
+//     slabs on the next round's send phase.
 //
 // The zero value is ready to use; slabs grow on demand and are retained
 // across Reset, so a pooled arena reaches a steady state where whole
 // rounds allocate nothing.
 type RoundArena struct {
 	lists  []ColorList
-	colors []group.Color
 	bytes  []byte
-	nl, nc int
-	nb     int
+	nl, nb int
 }
 
 // newList hands out the next pooled list header; growth abandons the old
@@ -110,35 +88,11 @@ func (a *RoundArena) newList() *ColorList {
 	return l
 }
 
-// ColorList returns a zero-length eager list with capacity for n colours,
-// valid until the next Reset. Growth reallocates the slabs, but payloads
-// already handed out keep the old backing arrays alive, so outstanding
-// messages remain intact.
-func (a *RoundArena) ColorList(n int) *ColorList {
-	l := a.newList()
-	if a.nc+n > len(a.colors) {
-		size := 2 * len(a.colors)
-		if size < n {
-			size = n
-		}
-		if size < 256 {
-			size = 256
-		}
-		a.colors = make([]group.Color, size)
-		a.nc = 0
-	}
-	l.Colors = a.colors[a.nc : a.nc : a.nc+n]
-	l.packed = nil
-	l.count = 0
-	a.nc += n
-	return l
-}
-
 // Pack encodes colors into a packed list — zigzag uvarint deltas between
 // consecutive colours, bump-allocated from the arena's byte slab — valid
 // until the next Reset. The caller keeps ownership of colors; the packed
-// copy is immutable. Like ColorList, growth abandons the old slab rather
-// than moving payloads that are already in flight.
+// copy is immutable. Growth abandons the old slab rather than moving
+// payloads that are already in flight.
 func (a *RoundArena) Pack(colors []group.Color) *ColorList {
 	l := a.newList()
 	need := binary.MaxVarintLen64 * len(colors)
@@ -161,7 +115,6 @@ func (a *RoundArena) Pack(colors []group.Color) *ColorList {
 		prev = int64(c)
 		pos += binary.PutUvarint(buf[pos:], uint64((d<<1)^(d>>63)))
 	}
-	l.Colors = nil
 	l.packed = a.bytes[a.nb : a.nb+pos : a.nb+pos]
 	l.count = len(colors)
 	a.nb += pos
@@ -169,22 +122,9 @@ func (a *RoundArena) Pack(colors []group.Color) *ColorList {
 }
 
 // Reset recycles the arena for the next round. Previously handed-out
-// payloads become invalid: the engine calls this only after a barrier
-// guarantees every receiver of the round is done with them.
+// payloads become invalid: the engine calls this only once every receiver
+// of the round is done with them.
 func (a *RoundArena) Reset() {
 	a.nl = 0
-	a.nc = 0
 	a.nb = 0
-}
-
-// ArenaMachine is an optional extension of FlatMachine for machines whose
-// messages carry variable-length payloads (colour lists). When the engine
-// provides a RoundArena, SendFlatArena replaces SendFlat: the machine bump-
-// allocates its payloads from the arena instead of the heap, which makes
-// the reduction phases of ReducedGreedyMachine as allocation-free as the
-// greedy phase. The out buffer follows the SendFlat contract; see
-// RoundArena for the payload lifetime rules.
-type ArenaMachine interface {
-	FlatMachine
-	SendFlatArena(out []Message, arena *RoundArena)
 }

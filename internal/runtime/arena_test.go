@@ -6,36 +6,38 @@ import (
 	"repro/internal/group"
 )
 
-// TestRoundArenaPayloadsSurviveGrowth: payloads handed out before a slab
-// grows must stay intact, because their messages are still in flight.
+// TestRoundArenaPayloadsSurviveGrowth: list headers handed out before the
+// header slab grows must stay intact, because their messages are still in
+// flight. The lists are short, so only the header slab grows here.
 func TestRoundArenaPayloadsSurviveGrowth(t *testing.T) {
 	var a RoundArena
 	var lists []*ColorList
 	for i := 0; i < 500; i++ {
-		l := a.ColorList(3)
-		l.Colors = append(l.Colors, group.Color(i), group.Color(i+1), group.Color(i+2))
-		lists = append(lists, l)
+		lists = append(lists, a.Pack([]group.Color{group.Color(i % 100)}))
 	}
 	for i, l := range lists {
-		if len(l.Colors) != 3 || l.Colors[0] != group.Color(i) || l.Colors[2] != group.Color(i+2) {
-			t.Fatalf("payload %d corrupted after growth: %v", i, l.Colors)
+		if got := l.AppendTo(nil); len(got) != 1 || got[0] != group.Color(i%100) {
+			t.Fatalf("payload %d corrupted after growth: %v", i, got)
 		}
 	}
 }
 
-// TestRoundArenaListsAreDisjoint: two payloads from the same round must not
-// alias each other's colour storage.
+// TestRoundArenaListsAreDisjoint: two payloads from the same round must be
+// distinct records that do not alias each other's storage.
 func TestRoundArenaListsAreDisjoint(t *testing.T) {
 	var a RoundArena
-	l1 := a.ColorList(4)
-	l2 := a.ColorList(4)
-	l1.Colors = append(l1.Colors, 1, 2, 3, 4)
-	l2.Colors = append(l2.Colors, 9, 9, 9, 9)
+	colors := []group.Color{1, 2, 3, 4}
+	l1 := a.Pack(colors)
+	colors[0] = 9 // the caller keeps ownership; the packed copy is immutable
+	l2 := a.Pack([]group.Color{9, 9, 9, 9})
 	if l1 == l2 {
 		t.Fatal("arena returned the same record twice")
 	}
-	if l1.Colors[0] != 1 || l1.Colors[3] != 4 {
-		t.Fatalf("l1 clobbered by l2: %v", l1.Colors)
+	if got := l1.AppendTo(nil); got[0] != 1 || got[3] != 4 {
+		t.Fatalf("l1 clobbered: %v", got)
+	}
+	if got := l2.AppendTo(nil); got[0] != 9 || got[3] != 9 {
+		t.Fatalf("l2 clobbered: %v", got)
 	}
 }
 
@@ -43,22 +45,18 @@ func TestRoundArenaListsAreDisjoint(t *testing.T) {
 // warm arena allocates nothing per round.
 func TestRoundArenaResetRecycles(t *testing.T) {
 	var a RoundArena
-	// Warm the slabs to their steady-state size.
-	for r := 0; r < 3; r++ {
+	colors := []group.Color{1, 2, 3, 4, 5}
+	round := func() {
 		a.Reset()
 		for i := 0; i < 32; i++ {
-			l := a.ColorList(5)
-			l.Colors = append(l.Colors, 1, 2, 3, 4, 5)
+			a.Pack(colors)
 		}
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		a.Reset()
-		for i := 0; i < 32; i++ {
-			l := a.ColorList(5)
-			l.Colors = append(l.Colors, 1, 2, 3, 4, 5)
-		}
-	})
-	if allocs != 0 {
+	// Warm the slabs to their steady-state size.
+	for r := 0; r < 3; r++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
 		t.Errorf("warm arena round allocated %.1f times, want 0", allocs)
 	}
 }
@@ -66,14 +64,14 @@ func TestRoundArenaResetRecycles(t *testing.T) {
 // TestRoundArenaZeroLength: zero-length lists are legal (isolated positions).
 func TestRoundArenaZeroLength(t *testing.T) {
 	var a RoundArena
-	l := a.ColorList(0)
-	if len(l.Colors) != 0 {
-		t.Fatalf("zero-capacity list has length %d", len(l.Colors))
+	l := a.Pack(nil)
+	if l.Len() != 0 || l.WireBytes() != 0 || len(l.AppendTo(nil)) != 0 {
+		t.Fatalf("empty list has Len %d, WireBytes %d", l.Len(), l.WireBytes())
 	}
 }
 
 // checkPackedRoundTrip packs colors and verifies the packed representation
-// decodes back exactly, with Len/WireBytes matching the eager equivalents.
+// decodes back exactly, with Len/WireBytes counting one word per colour.
 func checkPackedRoundTrip(t *testing.T, a *RoundArena, colors []group.Color) *ColorList {
 	t.Helper()
 	l := a.Pack(colors)
@@ -82,9 +80,6 @@ func checkPackedRoundTrip(t *testing.T, a *RoundArena, colors []group.Color) *Co
 	}
 	if l.WireBytes() != 8*len(colors) {
 		t.Fatalf("packed WireBytes = %d, want %d — packing must not change wire cost", l.WireBytes(), 8*len(colors))
-	}
-	if l.Eager() != nil {
-		t.Fatal("Eager() non-nil for a packed list")
 	}
 	got := l.AppendTo(nil)
 	if len(got) != len(colors) {
@@ -117,7 +112,7 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedPayloadsSurviveGrowth: like the eager-slab test above, but for
+// TestPackedPayloadsSurviveGrowth: like the header-slab test above, but for
 // the byte slab — packed payloads handed out before a growth step must stay
 // decodable, since their messages are still in flight.
 func TestPackedPayloadsSurviveGrowth(t *testing.T) {

@@ -12,102 +12,85 @@
 //
 // # Machine protocol
 //
-// Machine is the portable per-node interface: Init with the node's initial
-// knowledge, then Send/Receive pairs keyed by incident edge colour until
-// Halted. Two optional extensions unlock the fast paths:
+// Machine is the one per-node interface: Init with the node's initial
+// knowledge, then Send/Receive pairs until Halted. Colours are 1…k, so a
+// round's messages fit in a []Message of length k+1 indexed by edge
+// colour. Send may write out[c] only for the node's incident colours, and
+// nil means "send nothing"; Receive sees in[c] == nil where the peer sent
+// nothing or has halted. The engine owns both buffers, and machines must
+// not retain them across calls.
 //
-//   - FlatMachine exchanges the per-round maps for dense colour-indexed
-//     slices (colours are 1…k, so a round's messages fit in a []Message of
-//     length k+1). SendFlat may write out[c] only for the node's incident
-//     colours; nil means "send nothing"; the engine owns the buffers and
-//     machines must not retain them across calls.
-//   - ArenaMachine additionally bump-allocates variable-length payloads
-//     (colour lists) from a per-worker RoundArena during SendFlatArena.
-//     Payloads live exactly as long as the round's messages are in flight:
-//     the engine resets the arena only after a barrier guarantees every
-//     receiver is done. Receivers must not retain a payload — or any slice
-//     into it — past the ReceiveFlat call that delivered it.
+// Send also gets a per-worker RoundArena, from which machines bump-allocate
+// variable-length payloads (the reduction phases' colour lists). Payloads
+// live exactly as long as the round's messages are in flight: the engine
+// resets the arena only once every receiver of the round is done.
+// Receivers must not retain a payload — or any slice into it — past the
+// Receive call that delivered it.
 //
-// Engines detect the extensions per node with type assertions, so a single
-// run can mix flat, arena and plain map machines transparently.
+// # One round loop
 //
-// # The slab message protocol
+// Run is the only engine. Messages live in a dense slab with one slot per
+// directed edge, indexed exactly like graph.Halves(): slab[i] is the
+// message in flight on directed edge i, written by the sender during the
+// send phase and consumed (re-nilled) by the unique reader during the
+// receive phase. Every round runs the same two phase functions, sendRange
+// and recvRange, over a range of the live frontier:
 //
-// The two production engines (RunSequential and RunWorkers) store messages
-// in a dense slab with one slot per directed edge, indexed exactly like
-// graph.Halves(): slab[i] is the message in flight on directed edge i,
-// written by the sender during the send phase and consumed (re-nilled) by
-// the unique reader during the receive phase. The two phases never overlap
-// — sequentially by program order, concurrently by a round barrier — and
-// each slot has exactly one writer and one reader, so no slot is ever
-// touched concurrently and the round loop allocates nothing. Slots whose
-// reader has halted may keep a stale message; a halted reader never reads
-// again, so they are harmless (and such messages are never counted in the
-// statistics: delivered means read by a live node).
+//   - workers ≤ 1 calls them inline on the caller's goroutine, once per
+//     phase over the whole live window — the sequential engine, with no
+//     goroutine, barrier or claim cursor;
+//   - workers > 1 runs them from a fixed pool of goroutines that claim
+//     frontier chunks by work stealing (below), with a barrier between the
+//     phases and another at the end of the round.
 //
-// # Engines
-//
-// Three engines execute the same protocol and must produce identical
-// outputs and statistics for deterministic machines (tests verify this):
-//
-//   - RunSequential: a deterministic single-goroutine engine on the message
-//     slab — the single-threaded mirror of RunWorkers, driving
-//     FlatMachine/ArenaMachine implementations through their fast paths
-//     (and plain Machines through maps), so the concurrent fast path is
-//     pinned against a sequential flat reference.
-//   - RunWorkers: a fixed worker pool with a round barrier, live nodes
-//     tracked in a shared bitset frontier, work distributed by chunk
-//     stealing (below), messages in the dense slab, per-worker RoundArenas
-//     for payloads. This is the engine that scales to millions of nodes.
-//   - RunConcurrent: one goroutine per node with a buffered channel per
-//     directed edge — the small-n didactic engine; see below.
+// Either way the two phases never overlap and each slot has exactly one
+// writer and one reader, so no slot is ever touched concurrently and the
+// round loop allocates nothing. Slots whose reader has halted may keep a
+// stale message; a halted reader never reads again, so they are harmless
+// (and such messages are never counted in the statistics: delivered means
+// read by a live node). The scratch — slab, frontiers, per-worker buffers
+// and arenas — is pooled across runs.
 //
 // # Bitset frontiers and work stealing
 //
-// Both slab engines track liveness in a 64-bit word bitset (bit v of word
-// v>>6 is set while node v runs), double-buffered per round: the receive
-// phase clears a halting node's bit in the next-round frontier with
-// AND-NOT and the buffers swap at the round barrier. Scans walk only a
-// live-word window [scanLo, scanHi) — liveness is monotone, so the window
-// only shrinks — and within a word iterate set bits with TrailingZeros64.
-// A long tail of rounds with few live nodes therefore costs per-word scans
-// proportional to the surviving cluster, not O(n) per round.
+// Liveness is a 64-bit word bitset (bit v of word v>>6 is set while node v
+// runs), double-buffered per round: the receive phase clears a halting
+// node's bit in the next-round frontier with AND-NOT and the buffers swap
+// at the end of the round. Scans walk only a live-word window
+// [scanLo, scanHi) — liveness is monotone, so the window only shrinks —
+// and within a word iterate set bits with TrailingZeros64. A long tail of
+// rounds with few live nodes therefore costs per-word scans proportional
+// to the surviving cluster, not O(n) per round.
 //
-// RunWorkers distributes each phase by work stealing: workers claim
-// fixed-size chunks of the live window's word range from an atomic cursor
-// (one per phase, reset behind the barrier) until the cursor runs off the
-// end. The claim schedule is nondeterministic; the results are not, by
-// this argument: a chunk claim decides only WHICH worker processes a
-// node's sends or receives, never what happens to them. Send-phase writes
-// land in the per-directed-edge slab slot of the sending half, a location
-// fixed by the graph, not the schedule. Receive-phase chunks are disjoint
-// word ranges, so a claimant exclusively owns its nodes' frontier words —
-// and with them the next-frontier writes, halt-time entries and live-count
-// decrements; the per-round traffic rows are integer sums merged across
-// workers at the barrier. Every claim interleaving therefore produces
-// byte-identical outputs and Stats, which the steal-interleaving tests pin
-// by shrinking chunks to one word and yielding between claims.
+// With workers > 1, each phase is distributed by work stealing: workers
+// claim fixed-size chunks of the live window's word range from an atomic
+// cursor (one per phase, reset behind the barrier) until the cursor runs
+// off the end. The claim schedule is nondeterministic; the results are
+// not, by this argument: a chunk claim decides only WHICH worker processes
+// a node's sends or receives, never what happens to them. Send-phase
+// writes land in the per-directed-edge slab slot of the sending half, a
+// location fixed by the graph, not the schedule. Receive-phase chunks are
+// disjoint word ranges, so a claimant exclusively owns its nodes' frontier
+// words — and with them the next-frontier writes and halt-time entries;
+// the per-round traffic, halt counts and live-word bounds are per-worker
+// tallies merged at the barrier. Every claim interleaving therefore
+// produces byte-identical outputs and Stats, which the steal-interleaving
+// tests pin by shrinking chunks to one word and yielding between claims.
 //
-// # RunConcurrent is didactic, not a hot path
+// # The reference interpreter
 //
-// RunConcurrent exists to demonstrate that the synchronous model needs no
-// global coordinator: synchrony is maintained by an α-synchroniser
-// discipline (every live node sends exactly one frame on every live edge
-// per round, so receives naturally align rounds; a halting node sends a
-// farewell frame and the edge goes silent). That faithfulness costs: one
-// goroutine and one map per node per round, one channel per directed edge
-// — about 54k allocations per run at n=4096 where the slab engines do none
-// — and it records no per-round traffic histogram. Use it to sanity-check
-// the slab engines (it is the independent map-protocol witness in the
-// equivalence tests) and to read the model off the code; route every hot
-// path through RunSequential or RunWorkers.
+// The equivalence tests hold Run, at several worker counts, against a
+// naive reference interpreter that lives in the package's tests
+// (RunReference): a per-node loop with fresh per-round message buffers and
+// arenas, no frontier or slab, counting traffic itself. It shares no code
+// path with Run, so it witnesses the model rather than the engine.
 //
 // # Statistics
 //
-// Stats reports rounds, delivered messages, per-node halt times and — on
-// the slab engines — Stats.PerRound, the per-round message/byte histogram
-// (bytes via the optional Sizer interface; bare control words count one
-// byte). The histogram is what internal/sweep holds against the paper's
+// Stats reports rounds, delivered messages, per-node halt times and
+// Stats.PerRound, the per-round message/byte histogram (bytes via the
+// optional Sizer interface; bare control words count one byte). The
+// histogram is what internal/sweep holds against the paper's
 // communication contracts: greedy delivers at most one message per live
 // node per round, the reduction phases at most one colour list per
 // directed edge per round.

@@ -2,92 +2,84 @@ package runtime_test
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/group"
-	"repro/internal/mm"
 	"repro/internal/runtime"
 )
 
-// engineRun names one engine; the equivalence tests drive all three over
-// the same instances and demand bit-identical results.
-type engineRun struct {
-	name string
-	run  func(*graph.Graph, []int, runtime.Source, int) ([]mm.Output, *runtime.Stats, error)
-}
+// engineWorkers are the worker counts every equivalence pin runs Run at:
+// the inline path, and parallel paths with fewer, equal and more workers
+// than the host has cores.
+var engineWorkers = []int{1, 2, 3, 7}
 
-func engines() []engineRun {
-	return []engineRun{
-		{"sequential", runtime.RunSequentialLabeled},
-		{"concurrent", runtime.RunConcurrentLabeled},
-		{"workers", runtime.RunWorkersLabeled},
-		{"workers-3", func(g *graph.Graph, labels []int, f runtime.Source, max int) ([]mm.Output, *runtime.Stats, error) {
-			return runtime.RunWorkersN(g, labels, f, max, 3)
-		}},
-	}
-}
-
-// checkAgree runs every engine and compares outputs, rounds, messages and
-// per-node halt times against the sequential reference.
-func checkAgree(t *testing.T, name string, g *graph.Graph, labels []int, factory runtime.Source, maxRounds int) {
+// agree runs the reference interpreter and then Run at every engineWorkers
+// count, demanding identical outputs, rounds, messages, halt times and
+// per-round histograms, and returns the reference statistics. newSrc is
+// called for a fresh source per run; sources must hand out machines that
+// behave the same on every run.
+func agree(t *testing.T, name string, g *graph.Graph, labels []int, newSrc func() runtime.Source, maxRounds int) *runtime.Stats {
 	t.Helper()
-	var refOuts []mm.Output
-	var refStats *runtime.Stats
-	for _, e := range engines() {
-		outs, stats, err := e.run(g, labels, factory, maxRounds)
+	refOuts, refStats, err := runtime.RunReference(g, labels, newSrc(), maxRounds)
+	if err != nil {
+		t.Fatalf("%s/reference: %v", name, err)
+	}
+	for _, workers := range engineWorkers {
+		outs, stats, err := runtime.Run(g, labels, newSrc(), maxRounds, workers)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", name, e.name, err)
+			t.Fatalf("%s/workers=%d: %v", name, workers, err)
 		}
-		if refOuts == nil {
-			refOuts, refStats = outs, stats
-			continue
+		name := name + "/workers=" + strconv.Itoa(workers)
+		if len(outs) != len(refOuts) {
+			t.Fatalf("%s: %d outputs, reference %d", name, len(outs), len(refOuts))
 		}
 		for v := range outs {
 			if outs[v] != refOuts[v] {
-				t.Fatalf("%s/%s node %d: output %v, sequential %v", name, e.name, v, outs[v], refOuts[v])
+				t.Fatalf("%s node %d: output %v, reference %v", name, v, outs[v], refOuts[v])
 			}
 		}
 		if stats.Rounds != refStats.Rounds || stats.Messages != refStats.Messages {
-			t.Fatalf("%s/%s: stats %+v, sequential %+v", name, e.name,
-				struct{ R, M int }{stats.Rounds, stats.Messages},
-				struct{ R, M int }{refStats.Rounds, refStats.Messages})
+			t.Fatalf("%s: rounds/messages %d/%d, reference %d/%d", name,
+				stats.Rounds, stats.Messages, refStats.Rounds, refStats.Messages)
 		}
 		for v := range stats.HaltTimes {
 			if stats.HaltTimes[v] != refStats.HaltTimes[v] {
-				t.Fatalf("%s/%s: halt time of %d differs (%d vs %d)", name, e.name, v,
+				t.Fatalf("%s: halt time of %d differs (%d vs %d)", name, v,
 					stats.HaltTimes[v], refStats.HaltTimes[v])
 			}
 		}
-		// Slab engines record per-round traffic; where both sides have it
-		// (the goroutine-per-node engine leaves it nil) it must agree with
-		// the sequential reference round for round.
-		if stats.PerRound != nil {
-			if len(stats.PerRound) != len(refStats.PerRound) {
-				t.Fatalf("%s/%s: %d per-round entries, sequential %d", name, e.name,
-					len(stats.PerRound), len(refStats.PerRound))
+		if len(stats.PerRound) != len(refStats.PerRound) {
+			t.Fatalf("%s: %d per-round entries, reference %d", name,
+				len(stats.PerRound), len(refStats.PerRound))
+		}
+		total := 0
+		for r := range stats.PerRound {
+			if stats.PerRound[r] != refStats.PerRound[r] {
+				t.Fatalf("%s round %d: traffic %+v, reference %+v", name, r+1,
+					stats.PerRound[r], refStats.PerRound[r])
 			}
-			total := 0
-			for r := range stats.PerRound {
-				if stats.PerRound[r] != refStats.PerRound[r] {
-					t.Fatalf("%s/%s round %d: traffic %+v, sequential %+v", name, e.name, r+1,
-						stats.PerRound[r], refStats.PerRound[r])
-				}
-				total += stats.PerRound[r].Messages
-			}
-			if total != stats.Messages {
-				t.Fatalf("%s/%s: per-round messages sum to %d, Messages = %d", name, e.name,
-					total, stats.Messages)
-			}
+			total += stats.PerRound[r].Messages
+		}
+		if total != stats.Messages {
+			t.Fatalf("%s: per-round messages sum to %d, Messages = %d", name, total, stats.Messages)
 		}
 	}
+	return refStats
 }
 
-// TestEnginesAgreeOnGreedy is the cross-engine equivalence gate of the flat
-// execution engine: sequential, concurrent and workers must produce
-// identical outputs and statistics for the greedy machine over regular,
-// worst-case and path instances.
+// checkAgree is agree for a source reused across runs.
+func checkAgree(t *testing.T, name string, g *graph.Graph, labels []int, src runtime.Source, maxRounds int) {
+	t.Helper()
+	agree(t, name, g, labels, func() runtime.Source { return src }, maxRounds)
+}
+
+// TestEnginesAgreeOnGreedy is the equivalence gate of the engine on the
+// greedy machine: the reference interpreter and Run at every worker count
+// must produce identical outputs and statistics over regular, worst-case
+// and path instances.
 func TestEnginesAgreeOnGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g, err := graph.RandomRegular(128, 6, rng)
@@ -109,6 +101,11 @@ func TestEnginesAgreeOnGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgree(t, "path", p, nil, dist.NewGreedyMachine, 64)
+
+	mu := graph.RandomMatchingUnion(300, 8, 0.7, rng)
+	checkAgree(t, "matching-union", mu, nil, dist.NewGreedyMachinePool(300), 64)
+
+	checkAgree(t, "empty", graph.New(0, 3), nil, dist.NewGreedyMachine, 64)
 }
 
 // TestEnginesAgreeOnAllMachines extends the gate to every dist machine,
@@ -135,9 +132,8 @@ func TestEnginesAgreeOnAllMachines(t *testing.T) {
 	checkAgree(t, "bipartite", bip, labels, dist.NewBipartiteMachine, 4*bip.MaxDegree()+16)
 }
 
-// TestWorkersValidMatchingAtScale exercises the flat path on an instance
-// big enough that goroutine-per-node would be painful, and validates the
-// matching it produces.
+// TestWorkersValidMatchingAtScale exercises the parallel path on a larger
+// instance and validates the matching it produces.
 func TestWorkersValidMatchingAtScale(t *testing.T) {
 	n := 1 << 14
 	if testing.Short() {
@@ -148,7 +144,7 @@ func TestWorkersValidMatchingAtScale(t *testing.T) {
 	// properly coloured instance every node has a colour-1 edge and greedy
 	// halts at time 0, which would leave the round loop untested.
 	g := graph.RandomMatchingUnion(n, 6, 0.7, rng)
-	outs, stats, err := runtime.RunWorkers(g, dist.NewGreedyMachine, 64)
+	outs, stats, err := runtime.Run(g, nil, dist.NewGreedyMachine, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

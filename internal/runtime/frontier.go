@@ -1,6 +1,6 @@
 package runtime
 
-// Frontier bitsets: the slab engines track live nodes in 64-bit words
+// Frontier bitsets: the engine tracks live nodes in 64-bit words
 // indexed by node ID (bit v of word v>>6). A round scans the set bits with
 // branch-free bits.TrailingZeros64 loops — O(n/64 + live) per round instead
 // of the O(n) halted-flag walk or per-shard active-list bookkeeping — and

@@ -1,4 +1,4 @@
-package runtime
+package runtime_test
 
 import (
 	"fmt"
@@ -6,61 +6,28 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/group"
+	"repro/internal/runtime"
 )
 
-// targetEcho builds a Factory handing out echoMachines whose halt round is
-// a function of the node ID (factories are called in node order by every
-// engine, which this relies on — the same contract stateful sources use).
-func targetEcho(target func(v int) int) Factory {
-	v := 0
-	return func() Machine {
-		m := &echoMachine{target: target(v), selfName: fmt.Sprintf("m%d", v)}
-		v++
-		return m
+// targetEcho returns a Source constructor handing out echoMachines whose
+// halt round is a function of the node ID (factories are called in node
+// order, which this relies on — the same contract stateful sources use).
+func targetEcho(target func(v int) int) func() runtime.Source {
+	return func() runtime.Source {
+		v := 0
+		return runtime.Factory(func() runtime.Machine {
+			m := &echoMachine{target: target(v), selfName: fmt.Sprintf("m%d", v)}
+			v++
+			return m
+		})
 	}
 }
 
-// checkFrontierRun pins RunWorkersN at several worker counts against the
-// sequential reference: outputs, rounds, messages, halt times, per-round
-// histogram.
-func checkFrontierRun(t *testing.T, name string, g *graph.Graph, target func(v int) int, maxRounds int) *Stats {
+// checkFrontierRun pins Run at every engineWorkers count against the
+// reference interpreter and returns the reference statistics.
+func checkFrontierRun(t *testing.T, name string, g *graph.Graph, target func(v int) int, maxRounds int) *runtime.Stats {
 	t.Helper()
-	refOuts, refStats, err := RunSequential(g, targetEcho(target), maxRounds)
-	if err != nil {
-		t.Fatalf("%s/sequential: %v", name, err)
-	}
-	for _, workers := range []int{1, 2, 3, 7} {
-		outs, stats, err := RunWorkersN(g, nil, targetEcho(target), maxRounds, workers)
-		if err != nil {
-			t.Fatalf("%s/workers=%d: %v", name, workers, err)
-		}
-		for v := range outs {
-			if outs[v] != refOuts[v] {
-				t.Fatalf("%s/workers=%d node %d: output differs", name, workers, v)
-			}
-		}
-		if stats.Rounds != refStats.Rounds || stats.Messages != refStats.Messages {
-			t.Fatalf("%s/workers=%d: rounds/messages %d/%d, sequential %d/%d",
-				name, workers, stats.Rounds, stats.Messages, refStats.Rounds, refStats.Messages)
-		}
-		for v := range stats.HaltTimes {
-			if stats.HaltTimes[v] != refStats.HaltTimes[v] {
-				t.Fatalf("%s/workers=%d: halt time of node %d is %d, sequential %d",
-					name, workers, v, stats.HaltTimes[v], refStats.HaltTimes[v])
-			}
-		}
-		if len(stats.PerRound) != len(refStats.PerRound) {
-			t.Fatalf("%s/workers=%d: %d per-round rows, sequential %d",
-				name, workers, len(stats.PerRound), len(refStats.PerRound))
-		}
-		for r := range stats.PerRound {
-			if stats.PerRound[r] != refStats.PerRound[r] {
-				t.Fatalf("%s/workers=%d round %d: %+v, sequential %+v",
-					name, workers, r+1, stats.PerRound[r], refStats.PerRound[r])
-			}
-		}
-	}
-	return refStats
+	return agree(t, name, g, nil, targetEcho(target), maxRounds)
 }
 
 // TestFrontierOddNodeCount: n not a multiple of 64, so the last frontier
@@ -103,11 +70,11 @@ func TestFrontierAllHaltInRoundOne(t *testing.T) {
 }
 
 // TestFrontierSingleLiveNodeInLastWord: only the highest node ID stays live
-// past init, parked in the last (partial) word — the engines must keep
+// past init, parked in the last (partial) word — the engine must keep
 // scanning that word alone until it halts.
 func TestFrontierSingleLiveNodeInLastWord(t *testing.T) {
-	const n = 130 // words 0,1 full; node 129 is bit 1 of word 2
-	g := graph.New(n, 8)  // no edges: everything rides on the frontier alone
+	const n = 130        // words 0,1 full; node 129 is bit 1 of word 2
+	g := graph.New(n, 8) // no edges: everything rides on the frontier alone
 	stats := checkFrontierRun(t, "last-word", g, func(v int) int {
 		if v == n-1 {
 			return 3
@@ -131,41 +98,24 @@ func TestFrontierSingleLiveNodeInLastWord(t *testing.T) {
 	}
 }
 
-// TestWorkersStateFitZeroesFrontier is the unit half of the pool-reuse fix:
-// fit must hand back all-zero frontier words even when a previous (larger)
-// run left bits behind — an errored run abandons its frontier mid-round.
-func TestWorkersStateFitZeroesFrontier(t *testing.T) {
-	st := &workersState{}
-	st.fit(200, 0, 2, 4)
-	for i := range st.cur {
-		st.cur[i] = ^uint64(0)
-		st.next[i] = ^uint64(0)
-	}
-	st.fit(100, 0, 2, 4)
-	for i := range st.cur {
-		if st.cur[i] != 0 || st.next[i] != 0 {
-			t.Fatalf("word %d not zeroed on reuse: cur=%x next=%x", i, st.cur[i], st.next[i])
-		}
-	}
-}
-
-// TestWorkersPoolNoLivenessLeak is the behavioural half: back-to-back
-// pooled runs on different graphs, where the second run's init-halted nodes
-// sit exactly where the first run's live bits were. A leaked bit would make
+// TestWorkersPoolNoLivenessLeak is the behavioural half of
+// TestWorkersStateFitZeroesFrontier: back-to-back pooled runs on different
+// graphs, where the second run's init-halted nodes sit exactly where the
+// first run's live bits were. A leaked bit would make
 // a halted machine execute rounds and corrupt halt times.
 func TestWorkersPoolNoLivenessLeak(t *testing.T) {
 	big := graph.New(256, 8)
 	small := graph.New(100, 8)
 	for rep := 0; rep < 3; rep++ {
-		if _, _, err := RunWorkersN(big, nil, targetEcho(func(int) int { return 3 }), 10, 3); err != nil {
+		if _, _, err := runtime.Run(big, nil, targetEcho(func(int) int { return 3 })(), 10, 3); err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := RunWorkersN(small, nil, targetEcho(func(v int) int {
+		_, stats, err := runtime.Run(small, nil, targetEcho(func(v int) int {
 			if v == 5 {
 				return 2
 			}
 			return 0
-		}), 10, 3)
+		})(), 10, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,18 +1,20 @@
-package runtime
+package runtime_test
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/group"
 	"repro/internal/mm"
+	"repro/internal/runtime"
 )
 
 // chatterMachine is a randomized-but-deterministic machine: its halting
-// round and message pattern derive from a per-node seed, so sequential and
-// concurrent engines must still agree exactly. It exercises staggered
-// halting, selective sending and label plumbing under many topologies.
+// round and message pattern derive from a per-node seed, so every engine
+// must still agree exactly. It exercises staggered halting, selective
+// sending and label plumbing under many topologies.
 type chatterMachine struct {
 	seed    int64
 	rng     *rand.Rand
@@ -24,7 +26,7 @@ type chatterMachine struct {
 	counter int
 }
 
-func (m *chatterMachine) Init(info NodeInfo) {
+func (m *chatterMachine) Init(info runtime.NodeInfo) {
 	m.rng = rand.New(rand.NewSource(m.seed))
 	m.colors = info.Colors
 	m.label = info.Label
@@ -34,21 +36,19 @@ func (m *chatterMachine) Init(info NodeInfo) {
 	m.halted = m.target == 0
 }
 
-func (m *chatterMachine) Send() map[group.Color]Message {
-	out := make(map[group.Color]Message)
+func (m *chatterMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 	for _, c := range m.colors {
 		// Send on a pseudo-random subset of edges.
 		if m.rng.Intn(2) == 0 {
 			out[c] = int(c) + m.label
 		}
 	}
-	return out
 }
 
-func (m *chatterMachine) Receive(in map[group.Color]Message) {
-	for c := group.Color(1); int(c) <= 16; c++ {
-		if v, ok := in[c]; ok {
-			m.counter += v.(int)
+func (m *chatterMachine) Receive(in []runtime.Message) {
+	for _, msg := range in {
+		if msg != nil {
+			m.counter += msg.(int)
 		}
 	}
 	m.rounds++
@@ -77,37 +77,16 @@ func TestEnginesAgreeOnRandomProtocols(t *testing.T) {
 		for i := range seeds {
 			seeds[i] = rng.Int63()
 		}
-
-		factoryFor := func() Factory {
+		// A fresh factory per run: machines are handed out in node order,
+		// so node v always gets seeds[v].
+		newSrc := func() runtime.Source {
 			i := 0
-			return func() Machine {
+			return runtime.Factory(func() runtime.Machine {
 				m := &chatterMachine{seed: seeds[i%n]}
 				i++
 				return m
-			}
+			})
 		}
-
-		seqOuts, seqStats, err := RunSequentialLabeled(g, labels, factoryFor(), 64)
-		if err != nil {
-			t.Fatalf("trial %d sequential: %v", trial, err)
-		}
-		conOuts, conStats, err := RunConcurrentLabeled(g, labels, factoryFor(), 64)
-		if err != nil {
-			t.Fatalf("trial %d concurrent: %v", trial, err)
-		}
-		for v := range seqOuts {
-			if seqOuts[v] != conOuts[v] {
-				t.Fatalf("trial %d node %d: outputs differ (%v vs %v) — message histories diverged",
-					trial, v, seqOuts[v], conOuts[v])
-			}
-		}
-		if seqStats.Rounds != conStats.Rounds || seqStats.Messages != conStats.Messages {
-			t.Fatalf("trial %d: stats differ: %+v vs %+v", trial, seqStats, conStats)
-		}
-		for v := range seqStats.HaltTimes {
-			if seqStats.HaltTimes[v] != conStats.HaltTimes[v] {
-				t.Fatalf("trial %d: halt time of %d differs", trial, v)
-			}
-		}
+		agree(t, "trial "+strconv.Itoa(trial), g, labels, newSrc, 64)
 	}
 }

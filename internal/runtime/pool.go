@@ -11,8 +11,8 @@ package runtime
 // Machines are zero values of M optionally fixed up by setup (construction
 // parameters like the reduced machine's Δ); Init must fully reset a
 // machine, which every dist machine guarantees. A Pool serves one engine
-// run at a time: engines drive machines from several goroutines, but the
-// NewPool call itself always happens before workers start.
+// run at a time: the engine drives machines from several goroutines, but
+// the NewPool call itself always happens before workers start.
 type Pool[M any, PM interface {
 	*M
 	Machine

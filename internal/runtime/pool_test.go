@@ -1,11 +1,11 @@
-package runtime
+package runtime_test
 
 import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/group"
 	"repro/internal/mm"
+	"repro/internal/runtime"
 )
 
 // poolProbe is a minimal machine recording how it was set up; used to test
@@ -15,17 +15,17 @@ type poolProbe struct {
 	inited int
 }
 
-func (m *poolProbe) Init(info NodeInfo)              { m.inited++ }
-func (m *poolProbe) Send() map[group.Color]Message   { return nil }
-func (m *poolProbe) Receive(map[group.Color]Message) {}
-func (m *poolProbe) Halted() bool                    { return true }
-func (m *poolProbe) Output() mm.Output               { return mm.Bottom }
+func (m *poolProbe) Init(info runtime.NodeInfo)                  { m.inited++ }
+func (m *poolProbe) Send([]runtime.Message, *runtime.RoundArena) {}
+func (m *poolProbe) Receive([]runtime.Message)                   {}
+func (m *poolProbe) Halted() bool                                { return true }
+func (m *poolProbe) Output() mm.Output                           { return mm.Bottom }
 
 // TestPoolReusesMachinesAcrossRuns checks the Source contract of Pool: the
 // same backing machines and the same boxed slice are handed out run after
 // run, setup is applied to every arena slot, and growth re-runs setup.
 func TestPoolReusesMachinesAcrossRuns(t *testing.T) {
-	p := NewPool[poolProbe](3, func(m *poolProbe) { m.tag = 7 })
+	p := runtime.NewPool[poolProbe](3, func(m *poolProbe) { m.tag = 7 })
 	a := p.NewPool(3)
 	b := p.NewPool(2)
 	if &a[0] != &b[0] || a[0] != b[0] {
@@ -57,7 +57,7 @@ func TestPoolReusesMachinesAcrossRuns(t *testing.T) {
 // node in order.
 func TestFactoryNewPool(t *testing.T) {
 	calls := 0
-	f := Factory(func() Machine {
+	f := runtime.Factory(func() runtime.Machine {
 		m := &poolProbe{tag: calls}
 		calls++
 		return m
@@ -73,8 +73,9 @@ func TestFactoryNewPool(t *testing.T) {
 	}
 }
 
-// TestEnginesUsePoolBatch drives all engines from one Pool and checks each
-// run re-initialises the same machines.
+// TestEnginesUsePoolBatch drives the inline and parallel paths and the
+// reference interpreter from one Pool and checks each run re-initialises
+// the same machines.
 func TestEnginesUsePoolBatch(t *testing.T) {
 	g := graph.New(3, 2)
 	if err := g.AddEdge(0, 1, 1); err != nil {
@@ -83,15 +84,15 @@ func TestEnginesUsePoolBatch(t *testing.T) {
 	if err := g.AddEdge(1, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool[poolProbe](3, nil)
+	p := runtime.NewPool[poolProbe](3, nil)
 	for run := 1; run <= 2; run++ {
-		if _, _, err := RunSequential(g, p, 8); err != nil {
+		if _, _, err := runtime.Run(g, nil, p, 8, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := RunWorkersN(g, nil, p, 8, 2); err != nil {
+		if _, _, err := runtime.Run(g, nil, p, 8, 2); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := RunConcurrent(g, p, 8); err != nil {
+		if _, _, err := runtime.RunReference(g, nil, p, 8); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/group"
@@ -13,9 +11,7 @@ import (
 // Message is an opaque message exchanged along an edge. The model allows
 // arbitrarily large messages (the lower bound holds regardless), so any
 // non-nil value is permitted; machines define their own concrete types.
-// A nil Message means "send nothing": every engine treats a nil map entry
-// and an absent one identically, which is what lets the dense FlatMachine
-// path (where absence is a nil slot) coincide with the map path.
+// A nil Message means "send nothing".
 type Message any
 
 // NodeInfo is a node's initial local knowledge: the palette size and its
@@ -46,33 +42,38 @@ func messageBytes(m Message) int {
 }
 
 // Machine is the per-node state machine of a synchronous distributed
-// algorithm. The engine drives it as:
+// algorithm. Colours are 1…k, so a round's messages fit in a slice indexed
+// by edge colour. The engine drives a machine as:
 //
 //	Init(info)                          // time 0; may already halt
 //	for !Halted():
-//	    out := Send()                   // round r begins
+//	    Send(out, arena)                // round r begins
 //	    Receive(in)                     // messages from non-halted peers
 //
 // Output must be valid once Halted reports true. Machines are used by a
-// single goroutine and need not be safe for concurrent use.
+// single goroutine at a time and need not be safe for concurrent use.
 type Machine interface {
 	// Init resets the machine with the node's initial knowledge.
 	Init(info NodeInfo)
-	// Send returns this round's outgoing messages keyed by incident edge
-	// colour. Missing keys — and nil values — mean "send nothing" on that
-	// edge; receivers see no entry for that colour.
-	Send() map[group.Color]Message
-	// Receive delivers this round's incoming messages keyed by edge colour
-	// and lets the machine update its state. Edges whose peer has halted
-	// (or sent nothing) have no entry.
-	Receive(in map[group.Color]Message)
+	// Send writes this round's outgoing messages into out (length k+1,
+	// all-nil on entry): out[c] is the message for the colour-c edge, nil
+	// means "send nothing", and only the node's incident colours may be
+	// written. Variable-length payloads are allocated from arena (see
+	// RoundArena for their lifetime). The engine owns out and arena;
+	// machines must not retain either across calls.
+	Send(out []Message, arena *RoundArena)
+	// Receive delivers this round's incoming messages, in[c] holding the
+	// message received along the colour-c edge, and lets the machine
+	// update its state. in[c] is nil where the peer sent nothing or has
+	// halted. The engine owns in; machines must not retain it.
+	Receive(in []Message)
 	// Halted reports whether the node has stopped.
 	Halted() bool
 	// Output returns the announced local output; valid once Halted.
 	Output() mm.Output
 }
 
-// Source produces the machines of one engine run. Engines know their node
+// Source produces the machines of one engine run. The engine knows its node
 // count up front, so the primitive is a single batch request rather than n
 // individual factory calls; pooling-aware sources (NewPool) return the same
 // backing machines — and the same boxed slice — run after run, which is
@@ -96,7 +97,7 @@ func (f Factory) NewPool(n int) []Machine {
 	return ms
 }
 
-// RoundTraffic is one round's delivered traffic on a slab engine.
+// RoundTraffic is one round's delivered traffic.
 type RoundTraffic struct {
 	// Messages counts edge-messages delivered in the round.
 	Messages int
@@ -114,331 +115,17 @@ type Stats struct {
 	Messages int
 	// HaltTimes records, per node, the round after which it halted.
 	HaltTimes []int
-	// PerRound is the per-round message/byte histogram, recorded by the
-	// slab engines (RunSequential and RunWorkers); PerRound[r-1] describes
-	// round r, and the message counts sum to Messages. The goroutine-per-
-	// node engine leaves it nil. Compare against the paper's communication
-	// bounds: greedy delivers at most one message per node per round, the
-	// reduction phases one colour list per directed edge.
+	// PerRound is the per-round message/byte histogram: PerRound[r-1]
+	// describes round r, there is one entry per round (nil for a run that
+	// halts at time 0), and the message counts sum to Messages. Compare
+	// against the paper's communication bounds: greedy delivers at most one
+	// message per node per round, the reduction phases one colour list per
+	// directed edge.
 	PerRound []RoundTraffic
 }
 
 // DefaultMaxRounds bounds executions to catch non-terminating protocols.
 func DefaultMaxRounds(g *graph.Graph) int { return 4*g.K() + g.N() + 16 }
-
-// RunSequential executes the protocol with a deterministic single-threaded
-// engine and returns every node's output.
-func RunSequential(g *graph.Graph, src Source, maxRounds int) ([]mm.Output, *Stats, error) {
-	return RunSequentialLabeled(g, nil, src, maxRounds)
-}
-
-// RunSequentialLabeled is RunSequential with per-node input labels (§1.1's
-// "2-coloured graphs" provide the bipartition this way). labels may be nil;
-// otherwise it must have one entry per node.
-//
-// The engine is the single-threaded mirror of RunWorkers: messages live in
-// a dense per-directed-edge slab, FlatMachines are driven through their
-// colour-indexed buffers, ArenaMachines bump-allocate payloads from a round
-// arena, and plain Machines keep the map protocol. It is therefore a flat
-// sequential reference: the cross-engine equivalence tests pin the workers
-// fast path against it, not just against the map path, while the map-based
-// RunConcurrent stays as the independent map-protocol witness.
-func RunSequentialLabeled(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm.Output, *Stats, error) {
-	if err := checkLabels(g, labels); err != nil {
-		return nil, nil, err
-	}
-	n := g.N()
-	stats := &Stats{HaltTimes: make([]int, n)}
-	if n == 0 {
-		return []mm.Output{}, stats, nil
-	}
-	g.Flatten()
-	k := g.K()
-	halves := g.Halves()
-	mates := g.Mates()
-	machines := src.NewPool(n)
-	flats := make([]FlatMachine, n)
-	arenaMs := make([]ArenaMachine, n)
-	offsets := make([]int, n+1)
-	// Live nodes are a bitset frontier (see frontier.go), double-buffered
-	// per round: the send and deliver loops scan set bits branch-free, and
-	// the deliver loop drops each word's freshly-halted bits with one
-	// AND-NOT while building the next round's frontier.
-	cur := make([]uint64, frontierWords(n))
-	next := make([]uint64, frontierWords(n))
-	// scanLo/scanHi bound the frontier's nonzero words; liveness only
-	// shrinks, so each round re-derives the window from the words it wrote
-	// and a clustered tail stops paying for the whole array.
-	scanLo, scanHi := frontierWords(n), 0
-	live := 0
-	for v := 0; v < n; v++ {
-		m := machines[v]
-		if fm, ok := m.(FlatMachine); ok {
-			flats[v] = fm
-		}
-		if am, ok := m.(ArenaMachine); ok {
-			arenaMs[v] = am
-		}
-		m.Init(NodeInfo{K: k, Colors: g.IncidentColors(v), Label: labelOf(labels, v)})
-		if !m.Halted() {
-			frontierSet(cur, v)
-			if v>>6 < scanLo {
-				scanLo = v >> 6
-			}
-			scanHi = v>>6 + 1
-			live++
-		}
-		_, offsets[v+1] = g.HalfRange(v)
-	}
-
-	// slab[i] is the message in flight on directed edge i (= Halves()[i]),
-	// written by the sender and consumed (re-nilled) by the reader. Slots
-	// whose reader has halted may keep a stale message; a halted reader
-	// never reads again, so they are harmless — exactly as in RunWorkers.
-	slab := make([]Message, len(halves))
-	outBuf := make([]Message, k+1)
-	inBuf := make([]Message, k+1)
-	var arena RoundArena
-	for round := 1; live > 0; round++ {
-		if round > maxRounds {
-			return nil, nil, fmt.Errorf("runtime: no termination within %d rounds", maxRounds)
-		}
-		// The previous round's receives are done, so arena payloads are
-		// no longer referenced and the slabs can be recycled.
-		arena.Reset()
-		// Phase 1: all sends, before any receive (synchronous rounds). The
-		// frontier scan visits live nodes in ascending order, exactly like
-		// the halted-flag walk it replaces.
-		for wi := scanLo; wi < scanHi; wi++ {
-			for word := cur[wi]; word != 0; word &= word - 1 {
-				v := wi<<6 + bits.TrailingZeros64(word)
-				vlo, vhi := offsets[v], offsets[v+1]
-				if fm := flats[v]; fm != nil {
-					if am := arenaMs[v]; am != nil {
-						am.SendFlatArena(outBuf, &arena)
-					} else {
-						fm.SendFlat(outBuf)
-					}
-					for i := vlo; i < vhi; i++ {
-						if msg := outBuf[halves[i].Color]; msg != nil {
-							slab[i] = msg
-							outBuf[halves[i].Color] = nil
-						}
-					}
-				} else {
-					msgs := machines[v].Send()
-					for i := vlo; i < vhi; i++ {
-						// nil values mean "send nothing", as in every engine.
-						if msg, ok := msgs[halves[i].Color]; ok && msg != nil {
-							slab[i] = msg
-						}
-					}
-				}
-			}
-		}
-		// Phase 2: deliver and update, building the next frontier word by
-		// word (freshly-halted bits leave with one AND-NOT per word).
-		var traffic RoundTraffic
-		nextLo, nextHi := len(cur), 0
-		for wi := scanLo; wi < scanHi; wi++ {
-			word := cur[wi]
-			lw := word
-			for bw := word; bw != 0; bw &= bw - 1 {
-				t := bits.TrailingZeros64(bw)
-				v := wi<<6 + t
-				vlo, vhi := offsets[v], offsets[v+1]
-				m := machines[v]
-				if fm := flats[v]; fm != nil {
-					got := 0
-					for i := vlo; i < vhi; i++ {
-						if msg := slab[mates[i]]; msg != nil {
-							inBuf[halves[i].Color] = msg
-							slab[mates[i]] = nil
-							got++
-							traffic.Bytes += messageBytes(msg)
-						}
-					}
-					traffic.Messages += got
-					fm.ReceiveFlat(inBuf)
-					if got > 0 {
-						for i := vlo; i < vhi; i++ {
-							inBuf[halves[i].Color] = nil
-						}
-					}
-				} else {
-					// The in-map is allocated lazily: nil-map reads are fine
-					// for machines, and most (node, round) pairs get nothing.
-					var in map[group.Color]Message
-					for i := vlo; i < vhi; i++ {
-						if msg := slab[mates[i]]; msg != nil {
-							if in == nil {
-								in = make(map[group.Color]Message, vhi-vlo)
-							}
-							in[halves[i].Color] = msg
-							slab[mates[i]] = nil
-							traffic.Messages++
-							traffic.Bytes += messageBytes(msg)
-						}
-					}
-					m.Receive(in)
-				}
-				if m.Halted() {
-					lw &^= 1 << uint(t)
-					stats.HaltTimes[v] = round
-					live--
-				}
-			}
-			next[wi] = lw
-			if lw != 0 {
-				if wi < nextLo {
-					nextLo = wi
-				}
-				nextHi = wi + 1
-			}
-		}
-		cur, next = next, cur
-		scanLo, scanHi = nextLo, nextHi
-		stats.Messages += traffic.Messages
-		stats.PerRound = append(stats.PerRound, traffic)
-		stats.Rounds = round
-	}
-
-	outs := make([]mm.Output, n)
-	for v := 0; v < n; v++ {
-		outs[v] = machines[v].Output()
-	}
-	return outs, stats, nil
-}
-
-// frame is one per-round unit on a directed edge channel.
-type frame struct {
-	msg      Message
-	hasMsg   bool
-	farewell bool // sender has halted; no further frames will arrive
-}
-
-// RunConcurrent executes the protocol with one goroutine per node and a
-// buffered channel per directed edge. For deterministic machines its
-// outputs coincide with RunSequential; the message and round statistics are
-// identical as well (except Stats.PerRound, which only the slab engines
-// record).
-//
-// This is the small-n didactic engine: it realises the model's "one
-// processor per node" reading literally, at the cost of per-round map and
-// channel-frame allocations — roughly 54k allocations per run at n=4096,
-// where the slab engines allocate nothing. It stays as the independent
-// map-protocol witness in the cross-engine equivalence tests; hot paths
-// belong on RunSequential or RunWorkers.
-func RunConcurrent(g *graph.Graph, src Source, maxRounds int) ([]mm.Output, *Stats, error) {
-	return RunConcurrentLabeled(g, nil, src, maxRounds)
-}
-
-// RunConcurrentLabeled is RunConcurrent with per-node input labels.
-func RunConcurrentLabeled(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm.Output, *Stats, error) {
-	if err := checkLabels(g, labels); err != nil {
-		return nil, nil, err
-	}
-	// Build the flat adjacency once up front: the node goroutines below read
-	// it concurrently, and lazy building under concurrent access would race.
-	g.Flatten()
-	n := g.N()
-	type edgeKey struct {
-		from, to int
-	}
-	chans := make(map[edgeKey]chan frame, 2*g.NumEdges())
-	for _, e := range g.Edges() {
-		// Buffer 1 lets every node send before receiving (α-synchroniser):
-		// the system is deadlock-free because sends never block.
-		chans[edgeKey{e.U, e.V}] = make(chan frame, 1)
-		chans[edgeKey{e.V, e.U}] = make(chan frame, 1)
-	}
-
-	outs := make([]mm.Output, n)
-	haltRounds := make([]int, n)
-	msgCounts := make([]int, n)
-	errs := make([]error, n)
-
-	// Machines are created in node order before any goroutine starts, so
-	// sources that hand out per-call state behave identically under both
-	// engines.
-	machines := src.NewPool(n)
-
-	var wg sync.WaitGroup
-	for v := 0; v < n; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			m := machines[v]
-			incident := g.Incident(v)
-			m.Init(NodeInfo{K: g.K(), Colors: g.IncidentColors(v), Label: labelOf(labels, v)})
-
-			// silent marks edges whose peer sent a farewell. Nothing is
-			// sent on silent edges: the peer no longer reads, and its
-			// channel may still hold one stranded frame (capacity 1 — a
-			// peer learns of our farewell only after its next send phase).
-			silent := make(map[group.Color]bool, len(incident))
-			sendAll := func(msgs map[group.Color]Message, farewell bool) {
-				for _, half := range incident {
-					if silent[half.Color] {
-						continue
-					}
-					f := frame{farewell: farewell}
-					if msg, ok := msgs[half.Color]; ok && msg != nil {
-						f.msg, f.hasMsg = msg, true
-					}
-					chans[edgeKey{v, half.Peer}] <- f
-				}
-			}
-
-			round := 0
-			for !m.Halted() {
-				round++
-				if round > maxRounds {
-					errs[v] = fmt.Errorf("runtime: node %d: no termination within %d rounds", v, maxRounds)
-					break
-				}
-				sendAll(m.Send(), false)
-				in := make(map[group.Color]Message)
-				for _, half := range incident {
-					if silent[half.Color] {
-						continue
-					}
-					f := <-chans[edgeKey{half.Peer, v}]
-					if f.farewell {
-						silent[half.Color] = true
-					}
-					if f.hasMsg {
-						in[half.Color] = f.msg
-						msgCounts[v]++
-					}
-				}
-				m.Receive(in)
-			}
-			if errs[v] == nil {
-				// Farewell so neighbours stop expecting frames. A final
-				// Send is NOT performed: halting machines are silent.
-				sendAll(nil, true)
-				outs[v] = m.Output()
-				haltRounds[v] = round
-			}
-		}(v)
-	}
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	stats := &Stats{HaltTimes: haltRounds}
-	for v := 0; v < n; v++ {
-		stats.Messages += msgCounts[v]
-		if haltRounds[v] > stats.Rounds {
-			stats.Rounds = haltRounds[v]
-		}
-	}
-	return outs, stats, nil
-}
 
 func checkLabels(g *graph.Graph, labels []int) error {
 	if labels != nil && len(labels) != g.N() {

@@ -1,4 +1,4 @@
-package runtime
+package runtime_test
 
 import (
 	"strings"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/group"
 	"repro/internal/mm"
+	"repro/internal/runtime"
 )
 
 // echoMachine halts after a fixed number of rounds, recording everything it
@@ -20,23 +21,21 @@ type echoMachine struct {
 	selfName string
 }
 
-func (m *echoMachine) Init(info NodeInfo) {
+func (m *echoMachine) Init(info runtime.NodeInfo) {
 	m.colors = info.Colors
 	m.rounds = 0
 	m.halted = m.target == 0
 }
 
-func (m *echoMachine) Send() map[group.Color]Message {
-	out := make(map[group.Color]Message, len(m.colors))
+func (m *echoMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 	for _, c := range m.colors {
 		out[c] = m.selfName
 	}
-	return out
 }
 
-func (m *echoMachine) Receive(in map[group.Color]Message) {
-	for c := group.Color(1); c <= 8; c++ {
-		if msg, ok := in[c]; ok {
+func (m *echoMachine) Receive(in []runtime.Message) {
+	for _, msg := range in {
+		if msg != nil {
 			m.heard = append(m.heard, msg.(string))
 		}
 	}
@@ -59,7 +58,7 @@ func triangleFree(t *testing.T) *graph.Graph {
 
 func TestSequentialMechanics(t *testing.T) {
 	g := triangleFree(t)
-	outs, stats, err := RunSequential(g, Factory(func() Machine { return &echoMachine{target: 2, selfName: "x"} }), 10)
+	outs, stats, err := runtime.Run(g, nil, runtime.Factory(func() runtime.Machine { return &echoMachine{target: 2, selfName: "x"} }), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,97 +73,99 @@ func TestSequentialMechanics(t *testing.T) {
 	if stats.Messages != 8 {
 		t.Errorf("messages = %d, want 8", stats.Messages)
 	}
+	if len(stats.PerRound) != 2 || stats.PerRound[0] != (runtime.RoundTraffic{Messages: 4, Bytes: 4}) {
+		t.Errorf("per-round = %+v, want two rounds of 4 one-byte messages", stats.PerRound)
+	}
 }
 
-func TestConcurrentMatchesSequential(t *testing.T) {
+// TestReferenceMatchesSequential holds the sequential engine's mechanics
+// against the reference interpreter on the echo protocol.
+func TestReferenceMatchesSequential(t *testing.T) {
 	g := triangleFree(t)
-	factory := Factory(func() Machine { return &echoMachine{target: 3, selfName: "m"} })
-	_, seqStats, err := RunSequential(g, factory, 10)
+	factory := runtime.Factory(func() runtime.Machine { return &echoMachine{target: 3, selfName: "m"} })
+	_, seqStats, err := runtime.Run(g, nil, factory, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, conStats, err := RunConcurrent(g, factory, 10)
+	_, refStats, err := runtime.RunReference(g, nil, factory, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqStats.Rounds != conStats.Rounds {
-		t.Errorf("rounds: seq %d, conc %d", seqStats.Rounds, conStats.Rounds)
+	if seqStats.Rounds != refStats.Rounds {
+		t.Errorf("rounds: seq %d, reference %d", seqStats.Rounds, refStats.Rounds)
 	}
-	if seqStats.Messages != conStats.Messages {
-		t.Errorf("messages: seq %d, conc %d", seqStats.Messages, conStats.Messages)
+	if seqStats.Messages != refStats.Messages {
+		t.Errorf("messages: seq %d, reference %d", seqStats.Messages, refStats.Messages)
 	}
 }
 
 func TestHaltAtTimeZero(t *testing.T) {
 	g := triangleFree(t)
-	outs, stats, err := RunSequential(g, Factory(func() Machine { return &echoMachine{target: 0} }), 10)
+	factory := runtime.Factory(func() runtime.Machine { return &echoMachine{target: 0} })
+	for _, workers := range []int{1, 2} {
+		_, stats, err := runtime.Run(g, nil, factory, 10, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Rounds != 0 || stats.Messages != 0 || stats.PerRound != nil {
+			t.Errorf("workers=%d: rounds=%d messages=%d per-round=%v, want 0/0/nil",
+				workers, stats.Rounds, stats.Messages, stats.PerRound)
+		}
+	}
+	_, stats, err := runtime.RunReference(g, nil, factory, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rounds != 0 || stats.Messages != 0 {
-		t.Errorf("rounds=%d messages=%d, want 0/0", stats.Rounds, stats.Messages)
+		t.Errorf("reference rounds=%d messages=%d, want 0/0", stats.Rounds, stats.Messages)
 	}
-	_ = outs
-
-	outs2, stats2, err := RunConcurrent(g, Factory(func() Machine { return &echoMachine{target: 0} }), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.Rounds != 0 || stats2.Messages != 0 {
-		t.Errorf("concurrent rounds=%d messages=%d, want 0/0", stats2.Rounds, stats2.Messages)
-	}
-	_ = outs2
 }
 
 func TestStaggeredHalting(t *testing.T) {
-	// Nodes halt at different rounds; the engines must keep delivering
-	// between the surviving nodes without deadlock.
+	// Nodes halt at different rounds; the engine must keep delivering
+	// between the surviving nodes.
 	g, err := graph.PathGraph(4, []group.Color{1, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	targets := []int{1, 3, 2, 4}
 	i := 0
-	factory := Factory(func() Machine {
+	factory := runtime.Factory(func() runtime.Machine {
 		m := &echoMachine{target: targets[i%4], selfName: "n"}
 		i++
 		return m
 	})
-	_, seqStats, err := RunSequential(g, factory, 10)
+	_, seqStats, err := runtime.Run(g, nil, factory, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i = 0
-	_, conStats, err := RunConcurrent(g, factory, 10)
+	_, refStats, err := runtime.RunReference(g, nil, factory, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqStats.Rounds != 4 || conStats.Rounds != 4 {
-		t.Errorf("rounds: seq %d, conc %d, want 4", seqStats.Rounds, conStats.Rounds)
+	if seqStats.Rounds != 4 || refStats.Rounds != 4 {
+		t.Errorf("rounds: seq %d, reference %d, want 4", seqStats.Rounds, refStats.Rounds)
 	}
 	for v := range seqStats.HaltTimes {
-		if seqStats.HaltTimes[v] != conStats.HaltTimes[v] {
-			t.Errorf("halt time of %d: seq %d, conc %d", v, seqStats.HaltTimes[v], conStats.HaltTimes[v])
+		if seqStats.HaltTimes[v] != refStats.HaltTimes[v] {
+			t.Errorf("halt time of %d: seq %d, reference %d", v, seqStats.HaltTimes[v], refStats.HaltTimes[v])
 		}
 	}
 }
 
 func TestMaxRoundsExceeded(t *testing.T) {
 	g := triangleFree(t)
-	factory := Factory(func() Machine { return &echoMachine{target: 99, selfName: "z"} })
-	if _, _, err := RunSequential(g, factory, 5); err == nil ||
+	factory := runtime.Factory(func() runtime.Machine { return &echoMachine{target: 99, selfName: "z"} })
+	if _, _, err := runtime.Run(g, nil, factory, 5, 1); err == nil ||
 		!strings.Contains(err.Error(), "no termination") {
 		t.Errorf("sequential err = %v, want termination error", err)
-	}
-	if _, _, err := RunConcurrent(g, factory, 5); err == nil ||
-		!strings.Contains(err.Error(), "no termination") {
-		t.Errorf("concurrent err = %v, want termination error", err)
 	}
 }
 
 func TestDefaultMaxRounds(t *testing.T) {
 	g := triangleFree(t)
-	if DefaultMaxRounds(g) <= g.K() {
+	if runtime.DefaultMaxRounds(g) <= g.K() {
 		t.Error("DefaultMaxRounds too small")
 	}
 }

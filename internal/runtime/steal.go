@@ -7,20 +7,21 @@ import "sync/atomic"
 type atomicCursor = atomic.Int64
 
 // Work-stealing round scheduler: instead of fixed degree-balanced shards,
-// RunWorkersN workers claim fixed-size chunks of the frontier's word range
-// from an atomic cursor, one cursor per phase. A tail round whose few live
-// nodes once sat in a single shard now spreads across whichever workers
-// claim their chunks first; an idle worker keeps claiming until the cursor
-// runs off the end.
+// Run's parallel workers claim fixed-size chunks of the frontier's word
+// range from an atomic cursor, one cursor per phase. A tail round whose few
+// live nodes once sat in a single shard now spreads across whichever
+// workers claim their chunks first; an idle worker keeps claiming until the
+// cursor runs off the end.
 //
 // Determinism (see also runtime/doc.go): the schedule decides only *which
 // worker* processes a node, never *what happens* to it. Sends land in the
 // per-directed-edge slab slot of the sending half regardless of the
 // claiming worker, receive-phase chunks are disjoint word ranges so each
 // claimant exclusively owns the frontier words (and hence the next-frontier
-// writes, halt times and alive decrements) of its nodes, and the per-round
-// traffic rows are integer sums merged across workers — every interleaving
-// of chunk claims therefore produces byte-identical outputs and Stats.
+// writes and halt times) of its nodes, and the per-round traffic, halt
+// counts and live-word bounds are integer tallies merged across workers —
+// every interleaving of chunk claims therefore produces byte-identical
+// outputs and Stats.
 
 // stealChunkWords is the minimum claim granularity in frontier words (64
 // nodes per word); tests shrink it to 1 to force adversarial

@@ -10,55 +10,19 @@ import (
 	"repro/internal/runtime"
 )
 
-// pinAgainstSequential runs RunWorkersN at several worker counts and
-// demands byte-identical outputs and Stats (including the per-round
-// histogram) against the sequential reference.
-func pinAgainstSequential(t *testing.T, name string, g *graph.Graph, src runtime.Source, maxRounds int, reps int) {
+// pinAgainstReference repeats the agree pin reps times, so a schedule-
+// dependent divergence has several chances to show.
+func pinAgainstReference(t *testing.T, name string, g *graph.Graph, src runtime.Source, maxRounds int, reps int) {
 	t.Helper()
-	refOuts, refStats, err := runtime.RunSequential(g, src, maxRounds)
-	if err != nil {
-		t.Fatalf("%s/sequential: %v", name, err)
-	}
-	for _, workers := range []int{2, 3, 5} {
-		for rep := 0; rep < reps; rep++ {
-			outs, stats, err := runtime.RunWorkersN(g, nil, src, maxRounds, workers)
-			if err != nil {
-				t.Fatalf("%s/workers=%d rep %d: %v", name, workers, rep, err)
-			}
-			for v := range outs {
-				if outs[v] != refOuts[v] {
-					t.Fatalf("%s/workers=%d rep %d node %d: output %v, sequential %v",
-						name, workers, rep, v, outs[v], refOuts[v])
-				}
-			}
-			if stats.Rounds != refStats.Rounds || stats.Messages != refStats.Messages {
-				t.Fatalf("%s/workers=%d rep %d: rounds/messages %d/%d, sequential %d/%d",
-					name, workers, rep, stats.Rounds, stats.Messages, refStats.Rounds, refStats.Messages)
-			}
-			for v := range stats.HaltTimes {
-				if stats.HaltTimes[v] != refStats.HaltTimes[v] {
-					t.Fatalf("%s/workers=%d rep %d: halt time of %d differs (%d vs %d)",
-						name, workers, rep, v, stats.HaltTimes[v], refStats.HaltTimes[v])
-				}
-			}
-			if len(stats.PerRound) != len(refStats.PerRound) {
-				t.Fatalf("%s/workers=%d rep %d: %d per-round rows, sequential %d",
-					name, workers, rep, len(stats.PerRound), len(refStats.PerRound))
-			}
-			for r := range stats.PerRound {
-				if stats.PerRound[r] != refStats.PerRound[r] {
-					t.Fatalf("%s/workers=%d rep %d round %d: traffic %+v, sequential %+v",
-						name, workers, rep, r+1, stats.PerRound[r], refStats.PerRound[r])
-				}
-			}
-		}
+	for rep := 0; rep < reps; rep++ {
+		checkAgree(t, name, g, nil, src, maxRounds)
 	}
 }
 
 // TestWorkersStealInterleavings is the adversarial chunk-schedule pin:
 // one-word chunks plus a scheduler yield between claims force workers to
 // interleave claims in ways the production granularity never produces, and
-// every rep must still match the sequential reference byte for byte —
+// every rep must still match the reference interpreter byte for byte —
 // outputs, halt times, and the per-round traffic histogram. This is the
 // determinism argument of steal.go made executable.
 func TestWorkersStealInterleavings(t *testing.T) {
@@ -72,17 +36,17 @@ func TestWorkersStealInterleavings(t *testing.T) {
 	}
 
 	mu := graph.RandomMatchingUnion(300, 6, 0.7, rng)
-	pinAgainstSequential(t, "greedy", mu, dist.NewGreedyMachinePool(300), 64, reps)
+	pinAgainstReference(t, "greedy", mu, dist.NewGreedyMachinePool(300), 64, reps)
 
-	// The reduced machine exercises the arena path: colour-list payloads are
+	// The reduced machine exercises the arena: colour-list payloads are
 	// packed by whichever worker claims the sender, so the pin also proves
 	// payload contents are schedule-independent.
 	bd := graph.RandomBoundedDegree(200, 128, 3, 1000, rng)
-	pinAgainstSequential(t, "reduced", bd, dist.NewReducedGreedyMachinePool(3, 200),
+	pinAgainstReference(t, "reduced", bd, dist.NewReducedGreedyMachinePool(3, 200),
 		dist.TotalRounds(128, 3)+8, reps)
 
 	pr := graph.RandomMatchingUnion(140, 5, 0.8, rng)
-	pinAgainstSequential(t, "proposal", pr, dist.NewProposalMachine, runtime.DefaultMaxRounds(pr), reps)
+	pinAgainstReference(t, "proposal", pr, dist.NewProposalMachine, runtime.DefaultMaxRounds(pr), reps)
 }
 
 // TestWorkersChunkGranularities pins the schedule-independence across claim
@@ -94,7 +58,7 @@ func TestWorkersChunkGranularities(t *testing.T) {
 	src := dist.NewGreedyMachinePool(500)
 	for _, chunk := range []int{1, 2, 7, 64} {
 		restore := runtime.SetStealChunkWords(chunk)
-		pinAgainstSequential(t, "chunk", g, src, 64, 1)
+		pinAgainstReference(t, "chunk", g, src, 64, 1)
 		restore()
 	}
 }

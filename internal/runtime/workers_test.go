@@ -1,25 +1,27 @@
-package runtime
+package runtime_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/group"
+	"repro/internal/mm"
+	"repro/internal/runtime"
 )
 
-// TestWorkersMatchSequentialMechanics drives the map-only echoMachine
-// through the workers engine (adapter path) and compares against the
-// sequential reference.
+// TestWorkersMatchSequentialMechanics drives echoMachine through the
+// parallel path and compares against the inline one.
 func TestWorkersMatchSequentialMechanics(t *testing.T) {
 	g := triangleFree(t)
-	factory := Factory(func() Machine { return &echoMachine{target: 3, selfName: "w"} })
-	_, seqStats, err := RunSequential(g, factory, 10)
+	factory := runtime.Factory(func() runtime.Machine { return &echoMachine{target: 3, selfName: "w"} })
+	_, seqStats, err := runtime.Run(g, nil, factory, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 7} {
-		_, wStats, err := RunWorkersN(g, nil, factory, 10, workers)
+	for _, workers := range []int{2, 3, 7} {
+		_, wStats, err := runtime.Run(g, nil, factory, 10, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -29,27 +31,27 @@ func TestWorkersMatchSequentialMechanics(t *testing.T) {
 	}
 }
 
-// TestWorkersStaggeredHalting mirrors TestStaggeredHalting for the workers
-// engine, including per-node halt times.
+// TestWorkersStaggeredHalting mirrors TestStaggeredHalting for the parallel
+// path, including per-node halt times.
 func TestWorkersStaggeredHalting(t *testing.T) {
 	g, err := graph.PathGraph(4, []group.Color{1, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	targets := []int{1, 3, 2, 4}
-	factoryFor := func() Factory {
+	factoryFor := func() runtime.Factory {
 		i := 0
-		return func() Machine {
+		return func() runtime.Machine {
 			m := &echoMachine{target: targets[i%4], selfName: "n"}
 			i++
 			return m
 		}
 	}
-	_, seqStats, err := RunSequential(g, factoryFor(), 10)
+	_, seqStats, err := runtime.Run(g, nil, factoryFor(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wStats, err := RunWorkersN(g, nil, factoryFor(), 10, 2)
+	_, wStats, err := runtime.Run(g, nil, factoryFor(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestWorkersStaggeredHalting(t *testing.T) {
 // zero-round, zero-message run.
 func TestWorkersHaltAtTimeZero(t *testing.T) {
 	g := triangleFree(t)
-	_, stats, err := RunWorkers(g, Factory(func() Machine { return &echoMachine{target: 0} }), 10)
+	_, stats, err := runtime.Run(g, nil, runtime.Factory(func() runtime.Machine { return &echoMachine{target: 0} }), 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,67 +78,37 @@ func TestWorkersHaltAtTimeZero(t *testing.T) {
 	}
 }
 
-// TestWorkersMaxRoundsExceeded: the workers engine reports non-termination
-// like the other engines do.
+// TestWorkersMaxRoundsExceeded: the parallel path reports non-termination
+// like the inline one.
 func TestWorkersMaxRoundsExceeded(t *testing.T) {
 	g := triangleFree(t)
-	factory := Factory(func() Machine { return &echoMachine{target: 99, selfName: "z"} })
-	if _, _, err := RunWorkersN(g, nil, factory, 5, 2); err == nil ||
+	factory := runtime.Factory(func() runtime.Machine { return &echoMachine{target: 99, selfName: "z"} })
+	if _, _, err := runtime.Run(g, nil, factory, 5, 2); err == nil ||
 		!strings.Contains(err.Error(), "no termination") {
 		t.Errorf("err = %v, want termination error", err)
 	}
 }
 
-// TestWorkersEmptyGraph: a zero-node instance runs to completion.
+// TestWorkersEmptyGraph: a zero-node instance returns the same empty,
+// non-nil outputs and halt times at every worker count, as the reference
+// interpreter does.
 func TestWorkersEmptyGraph(t *testing.T) {
 	g := graph.New(0, 3)
-	outs, stats, err := RunWorkers(g, Factory(func() Machine { return &echoMachine{} }), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 0 || stats.Rounds != 0 {
-		t.Errorf("outs=%v stats=%+v", outs, stats)
-	}
-}
-
-// flatEcho is a FlatMachine variant of echoMachine used to verify the fast
-// path against the adapter path.
-type flatEcho struct {
-	echoMachine
-}
-
-func (m *flatEcho) SendFlat(out []Message) {
-	for _, c := range m.colors {
-		out[c] = m.selfName
-	}
-}
-
-func (m *flatEcho) ReceiveFlat(in []Message) {
-	for c := group.Color(1); int(c) < len(in); c++ {
-		if in[c] != nil {
-			m.heard = append(m.heard, in[c].(string))
+	src := runtime.Factory(func() runtime.Machine { return &echoMachine{} })
+	check := func(name string, outs []mm.Output, stats *runtime.Stats, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if outs == nil || len(outs) != 0 || stats.HaltTimes == nil || len(stats.HaltTimes) != 0 ||
+			stats.Rounds != 0 || stats.Messages != 0 || stats.PerRound != nil {
+			t.Errorf("%s: outs=%#v stats=%+v, want empty non-nil outputs and halt times", name, outs, stats)
 		}
 	}
-	m.rounds++
-	m.halted = m.rounds >= m.target
-}
-
-// TestWorkersFlatFastPath checks that a FlatMachine goes through the dense
-// path and agrees with the same protocol's map path.
-func TestWorkersFlatFastPath(t *testing.T) {
-	g, err := graph.PathGraph(5, []group.Color{1, 2, 3, 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{0, 1, 2, 3, 7} {
+		outs, stats, err := runtime.Run(g, nil, src, 10, workers)
+		check("workers="+strconv.Itoa(workers), outs, stats, err)
 	}
-	_, mapStats, err := RunWorkersN(g, nil, Factory(func() Machine { return &echoMachine{target: 3, selfName: "f"} }), 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, flatStats, err := RunWorkersN(g, nil, Factory(func() Machine { return &flatEcho{echoMachine{target: 3, selfName: "f"}} }), 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapStats.Messages != flatStats.Messages || mapStats.Rounds != flatStats.Rounds {
-		t.Errorf("flat %+v, map %+v", flatStats, mapStats)
-	}
+	outs, stats, err := runtime.RunReference(g, nil, src, 10)
+	check("reference", outs, stats, err)
 }

@@ -8,6 +8,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -271,6 +273,52 @@ func TestSweepRequestValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", name, resp.StatusCode, tc.want)
 		}
 		readAll(t, resp)
+	}
+}
+
+// TestSweepCellLimit: a body of a few dozen bytes asking for 2^30 cells
+// through reps is refused with 422 naming the limit, before anything per
+// cell is allocated (materialising the cells would exhaust memory), and a
+// request just under the limit is still accepted.
+func TestSweepCellLimit(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"grids":["path:n=8"],"reps":1073741824}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(readAll(t, resp))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (body %q)", resp.StatusCode, body)
+	}
+	if !strings.Contains(body, strconv.Itoa(maxSweepCells)) {
+		t.Errorf("refusal %q does not name the limit of %d cells", body, maxSweepCells)
+	}
+	resp = postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Grids: []string{"path:n=8"}, Reps: 2})
+	if readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("small sweep: status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestSweepConfigClampsWorkers holds the request→sweep.Config translation:
+// worker fields above GOMAXPROCS are clamped to it, smaller ones pass
+// through, and the seed is derived from the request as sent.
+func TestSweepConfigClampsWorkers(t *testing.T) {
+	s := NewServer(Options{Log: log.New(io.Discard, "", 0)})
+	procs := goruntime.GOMAXPROCS(0)
+	huge := SweepRequest{Grids: []string{"path:n=8"}, EngineWorkers: 1 << 30, CellWorkers: 1 << 30, BuildWorkers: 1 << 30}
+	cfg := s.sweepConfig(huge)
+	if cfg.EngineWorkers != procs || cfg.CellWorkers != procs || cfg.BuildWorkers != procs {
+		t.Errorf("workers engine/cell/build = %d/%d/%d, want all clamped to GOMAXPROCS = %d",
+			cfg.EngineWorkers, cfg.CellWorkers, cfg.BuildWorkers, procs)
+	}
+	if cfg.Seed != requestSeed(huge) {
+		t.Errorf("seed %d, want the request's own %d", cfg.Seed, requestSeed(huge))
+	}
+	small := SweepRequest{Grids: []string{"path:n=8"}, EngineWorkers: 1, BuildWorkers: 1}
+	if cfg := s.sweepConfig(small); cfg.EngineWorkers != 1 || cfg.CellWorkers != 0 || cfg.BuildWorkers != 1 {
+		t.Errorf("small request changed: engine/cell/build = %d/%d/%d, want 1/0/1",
+			cfg.EngineWorkers, cfg.CellWorkers, cfg.BuildWorkers)
 	}
 }
 

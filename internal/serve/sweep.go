@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	goruntime "runtime"
 	"strconv"
 
 	"repro/internal/gen"
@@ -14,6 +15,13 @@ import (
 // maxSweepBody bounds a POST /v1/sweep body; sweep requests are a few
 // hundred bytes of names, never bulk data.
 const maxSweepBody = 1 << 20
+
+// maxSweepCells bounds the cells one sweep request may name. A body far
+// below maxSweepBody can still ask for billions of cells through reps, and
+// the stream driver materialises its cell list up front, so the count is
+// checked arithmetically (sweep.Expand) before anything is allocated.
+// Real requests name tens of cells.
+const maxSweepCells = 1 << 16
 
 // SweepRequest is the POST /v1/sweep body. Grids name generated families
 // in the mmsweep range DSL; Graphs name stored graphs by their content
@@ -35,10 +43,11 @@ type SweepRequest struct {
 	// violations are data in the rows and counted in the trailer, never a
 	// transport error.
 	CheckBounds bool `json:"check_bounds,omitempty"`
-	// EngineWorkers > 1 runs cells on the worker-pool engine (results are
-	// engine-independent); CellWorkers bounds concurrent cells within this
-	// request's slot; BuildWorkers ≥ 1 uses the sharded instance builder
-	// (a different instance universe — rows carry the builder tag).
+	// EngineWorkers > 1 runs each cell's round loop on that many engine
+	// workers (results are worker-count-independent); CellWorkers bounds
+	// concurrent cells within this request's slot; BuildWorkers ≥ 1 uses
+	// the sharded instance builder (a different instance universe — rows
+	// carry the builder tag). The server clamps all three to GOMAXPROCS.
 	EngineWorkers int `json:"engine_workers,omitempty"`
 	CellWorkers   int `json:"cell_workers,omitempty"`
 	BuildWorkers  int `json:"build_workers,omitempty"`
@@ -103,19 +112,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cfg := sweep.Config{
-		Grids:         req.Grids,
-		Algos:         req.Algos,
-		Reps:          req.Reps,
-		Seed:          requestSeed(req),
-		CheckBounds:   req.CheckBounds,
-		EngineWorkers: req.EngineWorkers,
-		CellWorkers:   req.CellWorkers,
-		BuildWorkers:  req.BuildWorkers,
-		Provider:      s.provider,
-		Metrics:       s.sweepMetrics,
-		Tracer:        s.tracer,
-	}
+	cfg := s.sweepConfig(req)
 	for _, id := range req.Graphs {
 		sg, ok := s.store.Get(id)
 		if !ok {
@@ -131,6 +128,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	cells, err := sweep.Expand(cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if cells > maxSweepCells {
+		writeError(w, http.StatusUnprocessableEntity,
+			fmt.Sprintf("sweep names %d cells, over the limit of %d cells per request", cells, maxSweepCells))
 		return
 	}
 
@@ -164,6 +166,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	trailer.Done = true
 	json.NewEncoder(w).Encode(trailer)
 	s.log.Printf("sweep seed=%d: %d rows, %d violations", cfg.Seed, trailer.Rows, trailer.Violations)
+}
+
+// sweepConfig translates a request into the sweep it runs, minus the
+// stored-graph instances. The worker fields are clamped to GOMAXPROCS:
+// results do not depend on them, and an unclamped engine_workers would
+// start a goroutine and an arena per node of every cell. The seed is
+// derived from the request as sent, so clamping never changes a body.
+func (s *Server) sweepConfig(req SweepRequest) sweep.Config {
+	procs := goruntime.GOMAXPROCS(0)
+	return sweep.Config{
+		Grids:         req.Grids,
+		Algos:         req.Algos,
+		Reps:          req.Reps,
+		Seed:          requestSeed(req),
+		CheckBounds:   req.CheckBounds,
+		EngineWorkers: min(req.EngineWorkers, procs),
+		CellWorkers:   min(req.CellWorkers, procs),
+		BuildWorkers:  min(req.BuildWorkers, procs),
+		Provider:      s.provider,
+		Metrics:       s.sweepMetrics,
+		Tracer:        s.tracer,
+	}
 }
 
 // flushWriter adapts an http.ResponseWriter to the per-row flush hook

@@ -33,7 +33,7 @@ func (v Violation) String() string {
 // Check holds an execution's statistics against a machine's communication
 // contract and returns every breach (nil when the contract holds).
 // directedEdges is the instance's directed edge count (2|E|); st must
-// carry the per-round histogram the slab engines record — a nil
+// carry the per-round histogram runtime.Run records — a nil
 // PerRound with a nonzero message count cannot be checked and is reported
 // as a "msgs-per-node" violation of limit 0 so silently unverifiable runs
 // cannot pass.

@@ -30,15 +30,13 @@ func (m *chattyMachine) Init(info runtime.NodeInfo) {
 	m.halted = len(m.colors) == 0
 }
 
-func (m *chattyMachine) Send() map[group.Color]runtime.Message {
-	out := make(map[group.Color]runtime.Message, len(m.colors))
+func (m *chattyMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 	for _, c := range m.colors {
 		out[c] = fatMessage{}
 	}
-	return out
 }
 
-func (m *chattyMachine) Receive(map[group.Color]runtime.Message) {
+func (m *chattyMachine) Receive([]runtime.Message) {
 	m.rounds++
 	m.halted = m.rounds >= 3
 }
@@ -56,7 +54,7 @@ func TestCheckFiresOnViolatingMachine(t *testing.T) {
 	}
 	g := inst.G
 	var src runtime.Factory = func() runtime.Machine { return &chattyMachine{} }
-	_, st, err := runtime.RunSequential(g, src, 16)
+	_, st, err := runtime.Run(g, nil, src, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +82,7 @@ func TestCheckFiresOnViolatingMachine(t *testing.T) {
 		t.Errorf("rounds violation = %v, want one with got 3 limit 2", vs)
 	}
 	// One message per directed edge per round is respected even by the
-	// chatty machine (the slab engines cannot deliver more), so this rule
+	// chatty machine (the engine cannot deliver more), so this rule
 	// must stay quiet here.
 	if vs := byRule["msgs-per-edge"]; len(vs) != 0 {
 		t.Errorf("msgs-per-edge fired unexpectedly: %v", vs)
@@ -92,7 +90,7 @@ func TestCheckFiresOnViolatingMachine(t *testing.T) {
 }
 
 // TestCheckPerEdgeRule drives the per-edge rule with synthetic statistics,
-// since a slab engine structurally cannot deliver two messages on one
+// since the engine structurally cannot deliver two messages on one
 // directed edge in one round.
 func TestCheckPerEdgeRule(t *testing.T) {
 	st := &runtime.Stats{
@@ -144,7 +142,7 @@ func TestCheckAcceptsConformingRuns(t *testing.T) {
 			t.Fatalf("unknown algo %s", tc.algo)
 		}
 		g := inst.G
-		_, st, err := runtime.RunSequentialLabeled(g, inst.Labels, a.Source(g), a.MaxRounds(g))
+		_, st, err := runtime.Run(g, inst.Labels, a.Source(g), a.MaxRounds(g), 1)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", sc.Name, tc.algo, err)
 		}

@@ -2,14 +2,15 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -31,9 +32,9 @@ type Config struct {
 	Seed int64
 	// CellWorkers bounds how many cells run concurrently (0 = GOMAXPROCS).
 	CellWorkers int
-	// EngineWorkers selects the per-cell engine: ≤ 1 runs the sequential
-	// slab engine, > 1 runs runtime.RunWorkersN with that many workers.
-	// Statistics are engine- and worker-count-independent, so this never
+	// EngineWorkers is the per-cell runtime.Run worker count: ≤ 1 runs the
+	// round loop inline on the cell's goroutine, > 1 on that many engine
+	// workers. Statistics are worker-count-independent, so this never
 	// changes the results — only the wall clock.
 	EngineWorkers int
 	// CheckBounds holds every execution's traffic against its algorithm's
@@ -218,16 +219,53 @@ func (c cell) id() string {
 	return fmt.Sprintf("%s:%s/%s/rep%d", c.scenario, c.params.String(), c.algo.Name, c.rep)
 }
 
-// Expand resolves a Config into its cell list without running anything:
-// grids expand through gen.ParseGrid, and the cells are ordered grid by
-// grid, parameter cross product in DSL order, algorithm by algorithm,
-// repetition by repetition — the exact order Run reports results in.
+// Expand validates a Config and counts its cells without running or
+// materialising anything: grids expand through gen.ParseGrid, algorithm
+// names and instance refs are checked, and the count is parameter sets
+// (grid points plus instances) × algorithms × repetitions, saturating at
+// math.MaxInt instead of overflowing. A caller can therefore bound a sweep
+// before allocating anything per cell. The cells themselves are ordered
+// grid by grid, parameter cross product in DSL order, algorithm by
+// algorithm, repetition by repetition — the exact order Run reports
+// results in.
 func Expand(cfg Config) (int, error) {
-	cells, err := expand(cfg)
-	return len(cells), err
+	algos, reps, err := axes(cfg)
+	if err != nil {
+		return 0, err
+	}
+	points := 0
+	for _, spec := range cfg.Grids {
+		_, grid, err := gen.ParseGrid(spec)
+		if err != nil {
+			return 0, fmt.Errorf("sweep: %w", err)
+		}
+		points += len(grid)
+	}
+	for _, ref := range cfg.Instances {
+		if err := ref.validate(); err != nil {
+			return 0, err
+		}
+		points++
+	}
+	if points == 0 {
+		return 0, errEmptySweep
+	}
+	return satMul(points, satMul(len(algos), reps)), nil
 }
 
-func expand(cfg Config) ([]cell, error) {
+// satMul multiplies non-negative ints, saturating at math.MaxInt.
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+var errEmptySweep = errors.New("sweep: empty sweep (no grids or instances)")
+
+// axes resolves the algorithm and repetition axes every grid point and
+// instance crosses with.
+func axes(cfg Config) ([]Algo, int, error) {
 	algoNames := cfg.Algos
 	if len(algoNames) == 0 {
 		algoNames = []string{"greedy"}
@@ -236,13 +274,31 @@ func expand(cfg Config) ([]cell, error) {
 	for i, name := range algoNames {
 		a, ok := AlgoByName(name)
 		if !ok {
-			return nil, fmt.Errorf("sweep: unknown algorithm %q (valid: %v)", name, AlgoNames())
+			return nil, 0, fmt.Errorf("sweep: unknown algorithm %q (valid: %v)", name, AlgoNames())
 		}
 		algos[i] = a
 	}
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
+	return algos, max(cfg.Reps, 1), nil
+}
+
+// validate checks a ref can name rows: rows must carry identity fields
+// (scenario AND params) for the resume machinery to reconstruct their
+// cells.
+func (ref InstanceRef) validate() error {
+	if ref.ID == "" {
+		return fmt.Errorf("sweep: instance ref with empty ID")
+	}
+	if len(ref.Params) == 0 {
+		return fmt.Errorf("sweep: instance %s has no params (rows need identity fields — record at least the shape, e.g. n and k)", ref.ID)
+	}
+	return nil
+}
+
+// expand materialises the cells Expand counts, in canonical order.
+func expand(cfg Config) ([]cell, error) {
+	algos, reps, err := axes(cfg)
+	if err != nil {
+		return nil, err
 	}
 	var cells []cell
 	for _, spec := range cfg.Grids {
@@ -259,13 +315,8 @@ func expand(cfg Config) ([]cell, error) {
 		}
 	}
 	for _, ref := range cfg.Instances {
-		if ref.ID == "" {
-			return nil, fmt.Errorf("sweep: instance ref with empty ID")
-		}
-		if len(ref.Params) == 0 {
-			// Rows must carry identity fields (scenario AND params) for the
-			// resume machinery to reconstruct their cells.
-			return nil, fmt.Errorf("sweep: instance %s has no params (rows need identity fields — record at least the shape, e.g. n and k)", ref.ID)
+		if err := ref.validate(); err != nil {
+			return nil, err
 		}
 		for _, a := range algos {
 			for rep := 0; rep < reps; rep++ {
@@ -274,7 +325,7 @@ func expand(cfg Config) ([]cell, error) {
 		}
 	}
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("sweep: empty sweep (no grids or instances)")
+		return nil, errEmptySweep
 	}
 	return cells, nil
 }
@@ -359,13 +410,7 @@ func runCell(cfg Config, c cell) (Result, error) {
 		sp = cfg.Tracer.Start("run", "cell", res.ID())
 	}
 	t0 = time.Now()
-	var outs []mm.Output
-	var st *runtime.Stats
-	if cfg.EngineWorkers > 1 {
-		outs, st, err = runtime.RunWorkersN(g, inst.Labels, src, maxRounds, cfg.EngineWorkers)
-	} else {
-		outs, st, err = runtime.RunSequentialLabeled(g, inst.Labels, src, maxRounds)
-	}
+	outs, st, err := runtime.Run(g, inst.Labels, src, maxRounds, cfg.EngineWorkers)
 	cfg.Metrics.observeRun(time.Since(t0))
 	if cfg.Tracer != nil {
 		sp.End()

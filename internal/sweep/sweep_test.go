@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,5 +188,30 @@ func TestExpandErrors(t *testing.T) {
 	}
 	if n != 4*2*2*3 {
 		t.Errorf("Expand = %d cells, want 48", n)
+	}
+	cells, err := expand(Config{Grids: []string{"path:n=8..64,k=2|3"}, Algos: []string{"greedy", "proposal"}, Reps: 3})
+	if err != nil || len(cells) != n {
+		t.Errorf("expand = %d cells (err %v), Expand counted %d", len(cells), err, n)
+	}
+	if _, err := Expand(Config{Instances: []InstanceRef{{ID: "x"}}}); err == nil {
+		t.Error("instance ref without params accepted")
+	}
+}
+
+// TestExpandCountsWithoutMaterialising: a tiny config naming 2^30 cells is
+// counted arithmetically — a handful of allocations, not one per cell —
+// and counts beyond int saturate instead of wrapping.
+func TestExpandCountsWithoutMaterialising(t *testing.T) {
+	huge := Config{Grids: []string{"path:n=8"}, Reps: 1 << 30}
+	n, err := Expand(huge)
+	if err != nil || n != 1<<30 {
+		t.Fatalf("Expand = %d, %v; want 2^30 cells", n, err)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { _, _ = Expand(huge) }); allocs > 100 {
+		t.Errorf("Expand allocated %.0f times for 2^30 cells; it must not build them", allocs)
+	}
+	n, err = Expand(Config{Grids: []string{"path:n=8..64", "worstcase:k=4"}, Algos: []string{"greedy", "proposal"}, Reps: math.MaxInt})
+	if err != nil || n != math.MaxInt {
+		t.Errorf("overflowing count = %d, %v; want saturation at math.MaxInt", n, err)
 	}
 }
